@@ -1,0 +1,20 @@
+//! Records the compiler that built the benchmark, so every result names
+//! its toolchain and baselines from different compilers are never
+//! compared silently.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_owned(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_owned(),
+        );
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
