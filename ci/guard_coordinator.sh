@@ -41,13 +41,16 @@ kill -9 "$W2"
 wait "$W2" 2>/dev/null || true
 
 wait "$SERVE"
-wait "$W1" "$W3"
+# One pid per `wait`: `wait A B` returns only B's status, so a W1 reset
+# before it collected its Drain would pass unnoticed.
+wait "$W1"
+wait "$W3"
 grep -F 're-issued' "$OUT/serve.err"
 grep -F 'campaign complete' "$OUT/serve.err"
 diff "$OUT/single.csv" "$OUT/served.csv"
 
-# The coordinator populated its cache as results streamed in: a plain
-# warm sweep over the same dir must simulate nothing.
+# The coordinator writes every result into its cache once the campaign
+# completes: a plain warm sweep over the same dir must simulate nothing.
 "$BIN" sweep examples/sweep_scenarios.toml --format csv \
     --cache-dir "$OUT/cache" --cache-stats \
     > "$OUT/warm.csv" 2> "$OUT/warm.err"

@@ -52,8 +52,9 @@ pub enum Grant {
         /// Cell count (always ≥ 1).
         len: usize,
     },
-    /// Nothing leasable right now (other workers hold the remaining
-    /// ranges) — retry shortly.
+    /// Nothing leasable right now: other workers hold the remaining
+    /// ranges. The server holds the request until a range is re-queued
+    /// or the campaign completes.
     Wait,
     /// Every cell is done; the worker should disconnect.
     Drain,
@@ -125,6 +126,14 @@ impl Campaign {
     #[must_use]
     pub fn active_leases(&self) -> usize {
         self.active.len()
+    }
+
+    /// The earliest deadline among outstanding leases, i.e. when
+    /// [`expire`](Self::expire) can next retire one; `None` while no
+    /// lease is out.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.active.values().map(|l| l.deadline_ms).min()
     }
 
     /// Sweeps leases whose deadline has passed, re-queueing their
@@ -330,6 +339,25 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].id, id);
         assert!(!c.heartbeat(id, 200), "expired lease no longer beats");
+    }
+
+    #[test]
+    fn next_deadline_tracks_the_earliest_live_lease() {
+        let mut c = Campaign::new(6, 2, 100);
+        assert_eq!(c.next_deadline(), None, "nothing leased yet");
+        let (a, _, _) = grant_range(c.lease("w1", 0));
+        assert_eq!(c.next_deadline(), Some(100), "a grant sets it");
+        let (b, _, _) = grant_range(c.lease("w2", 10));
+        grant_range(c.lease("w3", 20));
+        assert_eq!(c.next_deadline(), Some(100), "the earliest lease wins");
+        assert!(c.heartbeat(a, 50));
+        assert_eq!(c.next_deadline(), Some(110), "a heartbeat pushes it out");
+        c.complete(b, vec![(2, line(2)), (3, line(3))], 60).unwrap();
+        assert_eq!(c.next_deadline(), Some(120), "complete clears the finished lease");
+        assert_eq!(c.abandon_worker("w3").len(), 1);
+        assert_eq!(c.next_deadline(), Some(150), "abandon clears the dead worker's lease");
+        assert_eq!(c.expire(151).len(), 1);
+        assert_eq!(c.next_deadline(), None, "expire clears the last one");
     }
 
     #[test]

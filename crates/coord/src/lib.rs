@@ -13,13 +13,19 @@
 //!   ([`wire::WIRE_FINGERPRINT`]) and guarded by `therm3d_lint`'s
 //!   salt-drift rule, exactly like the sweep cache's cell descriptor.
 //! * [`campaign`] — the pure lease state machine ([`Campaign`]):
-//!   deadline-based expiry with an injected mock-testable clock,
-//!   immediate abandonment of a dead connection's leases, first-write
-//!   dedup of duplicated results.
+//!   deadline-based expiry with an injected mock-testable clock (and
+//!   the earliest deadline, [`Campaign::next_deadline`], for the server
+//!   to wait on), immediate abandonment of a dead connection's leases,
+//!   first-write dedup of duplicated results.
 //! * [`server`] — `therm3d serve SPEC.toml --listen ADDR`: accepts
-//!   workers, grants leases, verifies every returned line against the
-//!   canonical cell keys, and assembles the final [`SweepReport`] (and
-//!   optionally a single `CacheStore`) in canonical order.
+//!   workers on a blocking accept thread and grants leases; a lease
+//!   request with nothing to lease blocks until a range is re-queued or
+//!   the campaign drains. It expires each lease at its deadline,
+//!   verifies every returned line against the canonical cell keys,
+//!   gives workers a bounded wait to collect their drain, and
+//!   assembles the final [`SweepReport`] (and optionally a single
+//!   `CacheStore`) in canonical order. Nothing on it polls or sleeps:
+//!   every wait is on one condition variable.
 //! * [`worker`] — `therm3d work --connect ADDR`: runs leased ranges
 //!   through the ordinary sweep runner (cache, factor sharing,
 //!   threads) and streams encoded rows back.

@@ -2,14 +2,27 @@
 //! ranges to connected workers, and reassembles the byte-identical
 //! report.
 //!
-//! One thread per connection speaks the strict request/response
-//! protocol of [`crate::wire`]; all bookkeeping lives in a single
-//! [`Campaign`] behind a mutex, so the protocol threads are plain
-//! executors with no scheduling logic of their own. Dead workers are
-//! detected two ways: a dropped connection abandons its leases
-//! immediately (the SIGKILL case), and a lease whose deadline passes
-//! without results or heartbeats is swept by the accept loop (the hung
-//! case) — both paths re-queue the range for the next `LeaseRequest`.
+//! A blocking accept thread hands each connection to a handler thread
+//! of its own, which speaks the strict request/response protocol of
+//! [`crate::wire`]. All bookkeeping — the [`Campaign`] and the count of
+//! live connections — sits behind one mutex with one condition
+//! variable that every change signals, so the protocol threads are
+//! plain executors with no scheduling logic and nothing on the
+//! coordinator polls:
+//!
+//! * a `LeaseRequest` with nothing to lease blocks until a range is
+//!   re-queued or the campaign drains, then answers `LeaseGrant` or
+//!   `Drain`;
+//! * [`Server::run`] waits until the campaign completes or the earliest
+//!   lease deadline ([`Campaign::next_deadline`]) passes, so a lease
+//!   expires at its deadline;
+//! * after completion, `run` waits at most 200 ms for the workers to
+//!   collect their `Drain` and hang up, then closes what is left open.
+//!
+//! Dead workers are detected two ways: a dropped connection abandons
+//! its leases immediately (the SIGKILL case), and a lease whose
+//! deadline passes without results or heartbeats expires (the hung
+//! case). Both re-queue the range and wake the blocked lease requests.
 //!
 //! Determinism contract: cells keep their canonical indices, derived
 //! seeds and cache keys no matter which worker computes them, so the
@@ -17,8 +30,9 @@
 //! single-process `therm3d sweep` of the same spec. CI kills a worker
 //! mid-campaign and diffs exactly that.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use therm3d_sweep::shard::ShardSpec;
@@ -43,14 +57,27 @@ pub struct ServeOptions {
 }
 
 const DEFAULT_LEASE_TIMEOUT_MS: u64 = 30_000;
-/// Accept-loop poll interval: bounds how stale deadline expiry can be.
-const POLL_MS: u64 = 25;
-/// Grace after completion so waiting workers can collect their `Drain`.
+/// Longest wait after completion for workers to collect their `Drain`
+/// and hang up; connections still open then are closed.
 const DRAIN_GRACE_MS: u64 = 200;
+const LOCK: &str = "coordinator state lock poisoned by a panicked handler";
 
-/// Everything the per-connection handler threads share.
+/// Everything that changes during a campaign. It sits behind one mutex,
+/// and [`Shared::changed`] is signalled after every change.
+struct State {
+    campaign: Campaign,
+    /// Connections accepted so far; the next one is `w{accepted + 1}`.
+    accepted: usize,
+    /// Handler threads still running.
+    live: usize,
+    /// Why the accept thread stopped before the campaign completed.
+    accept_error: Option<String>,
+}
+
+/// Everything the accept and handler threads share.
 struct Shared {
-    campaign: Mutex<Campaign>,
+    state: Mutex<State>,
+    changed: Condvar,
     /// Expected `CellKey::hex()` per canonical index — incoming result
     /// lines are verified against these before they are accepted.
     expected_hex: Vec<String>,
@@ -66,7 +93,23 @@ impl Shared {
     fn now_ms(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(LOCK)
+    }
+
+    /// Applies `f` under the lock, then wakes every waiter to re-check
+    /// its condition.
+    fn update<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
+        let out = f(&mut self.lock());
+        self.changed.notify_all();
+        out
+    }
 }
+
+/// A connection's handler thread and a second handle on its socket, so
+/// [`Server::run`] can close a connection that outlives the campaign.
+type Handler = (TcpStream, JoinHandle<()>);
 
 /// A bound coordinator, ready to [`run`](Server::run). Binding is
 /// separate from running so callers (the CLI's `--port-file`, the
@@ -126,7 +169,13 @@ impl Server {
             local_addr,
             spec_name: spec.name.clone(),
             shared: Arc::new(Shared {
-                campaign: Mutex::new(Campaign::new(total, lease_cells, timeout_ms)),
+                state: Mutex::new(State {
+                    campaign: Campaign::new(total, lease_cells, timeout_ms),
+                    accepted: 0,
+                    live: 0,
+                    accept_error: None,
+                }),
+                changed: Condvar::new(),
                 expected_hex,
                 spec_toml: to_toml(spec),
                 total: total as u64,
@@ -151,10 +200,11 @@ impl Server {
     }
 
     /// Runs the campaign to completion: accepts workers, leases ranges,
-    /// sweeps expired leases, and — once every cell has a verified
-    /// result — assembles the canonical [`SweepReport`] (inserting each
-    /// result into `cache` when one is attached, so a warm re-run
-    /// simulates nothing).
+    /// expires each lease at its deadline, and — once every cell has a
+    /// verified result and the workers have been drained — assembles
+    /// the canonical [`SweepReport`] (inserting each result into
+    /// `cache` when one is attached, so a warm re-run simulates
+    /// nothing).
     ///
     /// # Errors
     ///
@@ -172,68 +222,99 @@ impl Server {
         // Publish the progress reporter to the handler threads. No
         // handler exists yet, so the Arc has exactly one owner here.
         Arc::get_mut(&mut self.shared).expect("no handlers yet").progress = progress;
-        self.listener.set_nonblocking(true).map_err(|e| format!("cannot poll listener: {e}"))?;
+        let listener =
+            self.listener.try_clone().map_err(|e| format!("cannot share the listener: {e}"))?;
         eprintln!(
             "coord: '{}' listening on {} — {} cells, lease size {}",
             self.spec_name, self.local_addr, self.shared.total, self.shared.lease_cells
         );
-        let mut workers = 0_usize;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    workers += 1;
-                    let worker = format!("w{workers}");
-                    eprintln!("coord: {worker} connected from {peer}");
-                    // Accepted sockets can inherit the listener's
-                    // non-blocking mode; the handlers do blocking reads.
-                    stream
-                        .set_nonblocking(false)
-                        .map_err(|e| format!("cannot configure {worker}: {e}"))?;
-                    let shared = Arc::clone(&self.shared);
-                    // lint: allow(no-thread-spawn): protocol I/O threads — cell execution happens in worker processes via the sweep runner
-                    std::thread::spawn(move || handle_worker(stream, &worker, &shared));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("accept failed: {e}")),
-            }
-            {
-                let now = self.shared.now_ms();
-                let mut campaign = self.shared.campaign.lock().expect("campaign lock");
-                for lease in campaign.expire(now) {
-                    eprintln!(
-                        "coord: lease {} (cells {}..{}) for {} expired; range re-issued",
-                        lease.id,
-                        lease.start,
-                        lease.start + lease.len,
-                        lease.worker
-                    );
-                }
-                if campaign.is_complete() {
-                    eprintln!(
-                        "coord: campaign complete — {} cells from {} worker(s), {} lease(s) re-issued",
-                        self.shared.total,
-                        workers,
-                        campaign.reissue_count()
-                    );
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(POLL_MS));
-        }
+        let shared = Arc::clone(&self.shared);
+        // lint: allow(no-thread-spawn): the blocking accept loop is protocol I/O — cells run in worker processes via the sweep runner
+        let acceptor = std::thread::spawn(move || accept_loop(&listener, &shared));
+        self.wait_for_completion()?;
         if let Some(p) = &self.shared.progress {
             p.finish();
         }
-        // Let workers still blocked on a LeaseRequest collect their
-        // Drain before the process exits and resets their connections.
-        std::thread::sleep(Duration::from_millis(DRAIN_GRACE_MS));
+        // The accept thread is blocked in `accept`: a connection of our
+        // own wakes it, it sees the finished campaign and returns.
+        let handlers = match TcpStream::connect(wake_addr(self.local_addr)) {
+            Ok(_) => acceptor.join().map_err(|_| "the accept thread panicked".to_owned())?,
+            Err(e) => {
+                eprintln!("coord: cannot wake the accept thread ({e}); leaving it detached");
+                Vec::new()
+            }
+        };
+        self.drain(handlers);
         self.assemble(cache)
+    }
+
+    /// Blocks until every cell has a verified result, expiring each
+    /// lease once its deadline passes.
+    fn wait_for_completion(&self) -> Result<(), String> {
+        let shared = &self.shared;
+        let mut state = shared.lock();
+        loop {
+            let now = shared.now_ms();
+            let expired = state.campaign.expire(now);
+            for lease in &expired {
+                eprintln!(
+                    "coord: lease {} (cells {}..{}) for {} expired; range re-issued",
+                    lease.id,
+                    lease.start,
+                    lease.start + lease.len,
+                    lease.worker
+                );
+            }
+            if !expired.is_empty() {
+                // Blocked lease requests can take the re-queued ranges.
+                shared.changed.notify_all();
+            }
+            if state.campaign.is_complete() {
+                eprintln!(
+                    "coord: campaign complete — {} cells from {} worker(s), {} lease(s) re-issued",
+                    shared.total,
+                    state.accepted,
+                    state.campaign.reissue_count()
+                );
+                return Ok(());
+            }
+            if let Some(e) = state.accept_error.take() {
+                return Err(e);
+            }
+            state = match state.campaign.next_deadline() {
+                // `expire` retires a lease once the clock is past its
+                // deadline, hence the extra millisecond.
+                Some(deadline) => {
+                    let wait =
+                        Duration::from_millis(deadline.saturating_sub(now).saturating_add(1));
+                    shared.changed.wait_timeout(state, wait).expect(LOCK).0
+                }
+                None => shared.changed.wait(state).expect(LOCK),
+            };
+        }
+    }
+
+    /// Gives the workers up to [`DRAIN_GRACE_MS`] to collect their
+    /// `Drain` and hang up, closes the connections still open after
+    /// that, and joins every handler.
+    fn drain(&self, handlers: Vec<Handler>) {
+        let grace = Duration::from_millis(DRAIN_GRACE_MS);
+        drop(self.shared.changed.wait_timeout_while(self.shared.lock(), grace, |s| s.live > 0));
+        for (socket, handler) in handlers {
+            // Unblocks the read of a handler whose worker is still
+            // connected; a no-op for one that already hung up.
+            let _ = socket.shutdown(Shutdown::Both);
+            if handler.join().is_err() {
+                eprintln!("coord: a connection handler panicked");
+            }
+        }
     }
 
     /// Decodes the stored result lines back into rows in canonical
     /// order — the byte-identical single-process report.
     fn assemble(&self, mut cache: Option<&mut CacheStore>) -> Result<SweepReport, String> {
-        let campaign = self.shared.campaign.lock().expect("campaign lock");
-        let done = campaign.done_rows();
+        let state = self.shared.lock();
+        let done = state.campaign.done_rows();
         let mut rows = Vec::with_capacity(self.cells.len());
         for (i, cell) in self.cells.iter().enumerate() {
             let line = done.get(&i).ok_or_else(|| format!("internal: cell {i} has no result"))?;
@@ -245,6 +326,54 @@ impl Server {
             rows.push(SweepRow { key: key.hex(), cell: cell.clone(), result, timing: None });
         }
         Ok(SweepReport { name: self.spec_name.clone(), shard: ShardSpec::FULL, rows })
+    }
+}
+
+/// Where [`Server::run`] connects to wake its own accept thread: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `::`) mapped to
+/// loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Accepts connections until the campaign is complete, starting one
+/// handler thread per connection. An accept failure is recorded for
+/// [`Server::run`] to report.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<Handler> {
+    let mut handlers = Vec::new();
+    loop {
+        let accepted =
+            listener.accept().and_then(|(stream, peer)| Ok((stream.try_clone()?, stream, peer)));
+        let (socket, stream, peer) = match accepted {
+            Ok(conn) => conn,
+            Err(e) => {
+                shared.update(|s| s.accept_error = Some(format!("accept failed: {e}")));
+                return handlers;
+            }
+        };
+        let worker = {
+            let mut state = shared.lock();
+            // The wake-up connection from `run`, or a worker too late
+            // to help: either way the campaign is over.
+            if state.campaign.is_complete() {
+                return handlers;
+            }
+            state.accepted += 1;
+            state.live += 1;
+            format!("w{}", state.accepted)
+        };
+        eprintln!("coord: {worker} connected from {peer}");
+        let shared = Arc::clone(shared);
+        // lint: allow(no-thread-spawn): protocol I/O threads — cell execution happens in worker processes via the sweep runner
+        let handler = std::thread::spawn(move || handle_worker(stream, &worker, &shared));
+        handlers.push((socket, handler));
     }
 }
 
@@ -274,12 +403,29 @@ fn verify_rows(shared: &Shared, rows: &[(u64, String)]) -> Result<Vec<(usize, St
     Ok(out)
 }
 
-/// Drives one worker connection: handshake, then the lease loop, until
-/// the peer disconnects or the campaign drains. On any connection
-/// error the worker's live leases are abandoned and re-issued.
+/// Runs one worker connection to its end, then abandons whatever leases
+/// the worker still holds so they are re-issued.
 fn handle_worker(mut stream: TcpStream, worker: &str, shared: &Shared) {
+    converse(&mut stream, worker, shared);
+    let lost = shared.update(|s| {
+        s.live -= 1;
+        s.campaign.abandon_worker(worker)
+    });
+    for lease in lost {
+        eprintln!(
+            "coord: {worker} died holding lease {} (cells {}..{}); range re-issued",
+            lease.id,
+            lease.start,
+            lease.start + lease.len
+        );
+    }
+}
+
+/// Speaks the protocol with one worker: handshake, then the lease loop,
+/// until the peer disconnects, the campaign drains, or an error.
+fn converse(stream: &mut TcpStream, worker: &str, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    match read_msg(&mut stream) {
+    match read_msg(stream) {
         Ok(Msg::Hello { protocol, engine }) => {
             if protocol != PROTOCOL_VERSION || engine != ENGINE_VERSION {
                 let reason = format!(
@@ -287,13 +433,13 @@ fn handle_worker(mut stream: TcpStream, worker: &str, shared: &Shared) {
                      worker speaks {protocol} / {engine}"
                 );
                 eprintln!("coord: {worker} rejected — {reason}");
-                let _ = write_msg(&mut stream, &Msg::Reject { reason });
+                let _ = write_msg(stream, &Msg::Reject { reason });
                 return;
             }
         }
         Ok(_) | Err(_) => {
             let _ = write_msg(
-                &mut stream,
+                stream,
                 &Msg::Reject { reason: "expected hello as the first message".into() },
             );
             return;
@@ -304,35 +450,16 @@ fn handle_worker(mut stream: TcpStream, worker: &str, shared: &Shared) {
         total_cells: shared.total,
         lease_cells: shared.lease_cells,
     };
-    if write_msg(&mut stream, &welcome).is_err() {
+    if write_msg(stream, &welcome).is_err() {
         return;
     }
     loop {
-        let reply = match read_msg(&mut stream) {
-            Ok(Msg::LeaseRequest) => {
-                let grant = {
-                    let mut campaign = shared.campaign.lock().expect("campaign lock");
-                    campaign.lease(worker, shared.now_ms())
-                };
-                match grant {
-                    Grant::Range { lease_id, start, len } => {
-                        eprintln!(
-                            "coord: lease {lease_id} -> {worker}: cells {start}..{}",
-                            start + len
-                        );
-                        Msg::LeaseGrant { lease_id, start: start as u64, len: len as u64 }
-                    }
-                    Grant::Wait => Msg::LeaseGrant { lease_id: 0, start: 0, len: 0 },
-                    Grant::Drain => Msg::Drain,
-                }
-            }
+        let reply = match read_msg(stream) {
+            Ok(Msg::LeaseRequest) => lease_blocking(worker, shared),
             Ok(Msg::ResultBatch { lease_id, rows }) => match verify_rows(shared, &rows) {
                 Ok(verified) => {
-                    let outcome = {
-                        let mut campaign = shared.campaign.lock().expect("campaign lock");
-                        campaign.complete(lease_id, verified, shared.now_ms())
-                    };
-                    match outcome {
+                    let now = shared.now_ms();
+                    match shared.update(|s| s.campaign.complete(lease_id, verified, now)) {
                         Ok(fresh) => {
                             if let Some(p) = &shared.progress {
                                 for _ in 0..fresh {
@@ -350,37 +477,58 @@ fn handle_worker(mut stream: TcpStream, worker: &str, shared: &Shared) {
                 }
             },
             Ok(Msg::Heartbeat { lease_id }) => {
-                let mut campaign = shared.campaign.lock().expect("campaign lock");
-                campaign.heartbeat(lease_id, shared.now_ms());
+                let now = shared.now_ms();
+                shared.update(|s| s.campaign.heartbeat(lease_id, now));
                 Msg::Ack
             }
             Ok(other) => {
                 let _ = write_msg(
-                    &mut stream,
+                    stream,
                     &Msg::Reject { reason: format!("unexpected message: {other:?}") },
                 );
-                break;
+                return;
             }
-            Err(WireError::Closed) => break,
+            Err(WireError::Closed) => return,
             Err(e) => {
                 eprintln!("coord: {worker} connection error: {e}");
-                break;
+                return;
             }
         };
-        if write_msg(&mut stream, &reply).is_err() {
-            break;
+        if write_msg(stream, &reply).is_err() {
+            return;
         }
     }
-    let lost = {
-        let mut campaign = shared.campaign.lock().expect("campaign lock");
-        campaign.abandon_worker(worker)
-    };
-    for lease in lost {
-        eprintln!(
-            "coord: {worker} died holding lease {} (cells {}..{}); range re-issued",
-            lease.id,
-            lease.start,
-            lease.start + lease.len
-        );
+}
+
+/// Answers a `LeaseRequest`: the next range, or `Drain` once every cell
+/// is done. While other workers hold all the remaining ranges the
+/// request waits until one is re-queued or the campaign completes.
+fn lease_blocking(worker: &str, shared: &Shared) -> Msg {
+    let mut state = shared.lock();
+    loop {
+        match state.campaign.lease(worker, shared.now_ms()) {
+            Grant::Range { lease_id, start, len } => {
+                drop(state);
+                // The new lease's deadline may be the one `run` waits for.
+                shared.changed.notify_all();
+                eprintln!("coord: lease {lease_id} -> {worker}: cells {start}..{}", start + len);
+                return Msg::LeaseGrant { lease_id, start: start as u64, len: len as u64 };
+            }
+            Grant::Drain => return Msg::Drain,
+            Grant::Wait => state = shared.changed.wait(state).expect(LOCK),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_maps_unspecified_ips_to_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7103"), "127.0.0.1:7103");
+        assert_eq!(wake("[::]:7103"), "[::1]:7103");
+        assert_eq!(wake("10.0.0.5:7103"), "10.0.0.5:7103", "a specific IP is kept");
     }
 }

@@ -28,7 +28,7 @@ use std::io::{ErrorKind, Read, Write};
 /// Version string exchanged in the `Hello`/`Welcome` handshake. Bump it
 /// (and re-record [`WIRE_FINGERPRINT`]) whenever the frame layout or
 /// message set changes incompatibly.
-pub const PROTOCOL_VERSION: &str = "therm3d-coord/v1";
+pub const PROTOCOL_VERSION: &str = "therm3d-coord/v2";
 
 /// Hard ceiling on a frame's payload length. Large enough for a
 /// `ResultBatch` covering any realistic lease (result lines are a few
@@ -40,7 +40,7 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// [`PROTOCOL_VERSION`]), recorded so the lint can detect drift: editing
 /// the descriptor region without bumping the protocol version fails
 /// `therm3d_lint`. The failing lint prints the expected value.
-pub const WIRE_FINGERPRINT: u64 = 0x79b8_10f2_6ad6_ba18;
+pub const WIRE_FINGERPRINT: u64 = 0xc569_cf6a_4c55_1a10;
 
 // The protocol's on-wire shape as one canonical string. This is what
 // the lint fingerprints: any change to the framing or message layout
@@ -54,7 +54,7 @@ pub const WIRE_DESCRIPTOR: &str = "frame=[len:u32be][payload][fnv1a64:u64be];max
      hello:1{protocol:string,engine:string};\
      welcome:2{spec_toml:string,total_cells:u64,lease_cells:u64};\
      lease_request:3{};\
-     lease_grant:4{lease_id:u64,start:u64,len:u64;len=0=>wait};\
+     lease_grant:4{lease_id:u64,start:u64,len:u64;len>=1};\
      result_batch:5{lease_id:u64,rows:[count:u32][(cell:u64,line:string)]};\
      heartbeat:6{lease_id:u64};\
      drain:7{};\
@@ -128,17 +128,19 @@ pub enum Msg {
         /// Cells per lease the coordinator will grant.
         lease_cells: u64,
     },
-    /// Worker → coordinator: ready for (more) work.
+    /// Worker → coordinator: ready for (more) work. Answered with a
+    /// `LeaseGrant` or `Drain`; while other workers hold every
+    /// remaining range, the answer waits until one is re-queued or the
+    /// campaign completes.
     LeaseRequest,
     /// Coordinator → worker: a leased range of canonical cell indices
-    /// `start .. start + len`. `len == 0` means "nothing leasable right
-    /// now, retry shortly" (other workers still hold active leases).
+    /// `start .. start + len`.
     LeaseGrant {
         /// Coordinator-assigned lease id, echoed in results/heartbeats.
         lease_id: u64,
         /// First canonical cell index of the range.
         start: u64,
-        /// Number of cells in the range (0 = wait and retry).
+        /// Number of cells in the range (at least 1).
         len: u64,
     },
     /// Worker → coordinator: completed cells from a lease. Batches may

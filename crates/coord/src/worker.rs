@@ -2,7 +2,10 @@
 //! and runs them through the ordinary sweep runner.
 //!
 //! The worker owns no scheduling decisions — it asks, computes, and
-//! reports, in a strict request/response loop. Each leased range is
+//! reports, in a strict request/response loop. While other workers
+//! hold every remaining range, the coordinator answers a lease request
+//! only once a range is re-queued or the campaign drains, so the worker
+//! never retries on a timer. Each leased range is
 //! executed with [`therm3d_sweep::run_cells_with_telemetry`], i.e. the
 //! exact cache-lookup/factor-sharing/thread-pool path a local sweep
 //! uses, and each finished cell is shipped back as the cache codec's
@@ -19,10 +22,6 @@ use therm3d_sweep::{
 };
 
 use crate::wire::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
-
-/// How long a worker sleeps after a "wait" grant (`len == 0`) before
-/// asking again.
-const WAIT_RETRY_MS: u64 = 50;
 
 /// Worker-side knobs.
 #[derive(Debug, Clone, Default)]
@@ -147,16 +146,16 @@ pub fn work(connect: &str, opts: &WorkOptions) -> Result<WorkSummary, String> {
         write_msg(&mut stream, &Msg::LeaseRequest)
             .map_err(|e| format!("lease request failed: {e}"))?;
         match read_msg(&mut stream).map_err(|e| format!("coordinator went away: {e}"))? {
-            Msg::LeaseGrant { len: 0, .. } => {
-                std::thread::sleep(Duration::from_millis(WAIT_RETRY_MS));
-            }
             Msg::LeaseGrant { lease_id, start, len } => {
                 let start =
                     usize::try_from(start).map_err(|_| format!("lease start {start} overflows"))?;
-                let len =
-                    usize::try_from(len).map_err(|_| format!("lease length {len} overflows"))?;
-                let indices: Vec<usize> = (start..start + len).collect();
-                eprintln!("work: lease {lease_id}: cells {start}..{}", start + len);
+                let end = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| start.checked_add(len))
+                    .filter(|&end| end > start)
+                    .ok_or_else(|| format!("lease {lease_id} has a bad length {len}"))?;
+                let indices: Vec<usize> = (start..end).collect();
+                eprintln!("work: lease {lease_id}: cells {start}..{end}");
                 summary.cells +=
                     run_lease(&mut stream, &spec, &mut cache, opts, lease_id, &indices)?;
                 summary.leases += 1;
