@@ -18,13 +18,12 @@
 //! `bench.grid{G}_*_us` histograms). CI asserts the ≥10× implicit
 //! advantage at 64×64 from these gauges.
 //!
-//! A third axis measures throughput mode: one streaming cell at a
-//! short and a long simulated duration under the installed
-//! [`CountingAllocator`], recording wall-us-per-simulated-second and
-//! the heap high-water mark of each (`throughput.*` gauges). Because
-//! streamed traces never materialize and metrics fold online, the
-//! high-water ratio stays ≈1 however long the simulation runs — CI
-//! asserts `throughput.heap_hw_ratio ≤ 1.25`.
+//! A third axis measures throughput: one cell at a short and a long
+//! simulated duration under the installed [`CountingAllocator`],
+//! recording wall-us-per-simulated-second and the heap high-water mark
+//! of each (`throughput.*` gauges). Because traces stream and metrics
+//! fold online, the high-water ratio stays ≈1 however long the
+//! simulation runs — CI asserts `throughput.heap_hw_ratio ≤ 1.25`.
 //!
 //! A fourth axis profiles allocations the way alligator-style fuzzing
 //! harnesses do: seeded-random small workload configs, with the
@@ -110,16 +109,16 @@ fn grid_axis(registry: &Registry, samples: usize) {
     }
 }
 
-/// The throughput axis: one streaming cell at a short and a long
-/// simulated duration, measuring wall time per simulated second and the
-/// heap high-water mark of each run. Traces stream and metrics fold
+/// The throughput axis: one cell at a short and a long simulated
+/// duration, measuring wall time per simulated second and the heap
+/// high-water mark of each run. Traces stream and metrics fold
 /// online, so the long run's high-water mark must match the short
 /// run's; the `throughput.heap_hw_ratio` gauge is CI's tripwire.
 fn throughput_axis(registry: &Registry, smoke: bool) {
     let (short_s, long_s) = if smoke { (5.0, 50.0) } else { (60.0, 3600.0) };
     let mut readings: Vec<(f64, usize, usize)> = Vec::new();
     for (label, sim_s) in [("short", short_s), ("long", long_s)] {
-        let spec = bench_spec().with_sim_seconds(sim_s).with_streaming(true);
+        let spec = bench_spec().with_sim_seconds(sim_s);
         let cell = therm3d_sweep::expand(&spec).remove(0);
         let base = therm3d_telemetry::alloc::reset_high_water();
         let allocs0 = therm3d_telemetry::alloc::allocation_count();
@@ -128,7 +127,7 @@ fn throughput_axis(registry: &Registry, smoke: bool) {
         let wall_us = elapsed_us(t0);
         let hw = therm3d_telemetry::alloc::high_water_bytes().saturating_sub(base);
         let allocs = therm3d_telemetry::alloc::allocation_count() - allocs0;
-        assert!(result.perf.completed > 0, "the streaming cell must simulate work");
+        assert!(result.perf.completed > 0, "the cell must simulate work");
         #[allow(clippy::cast_precision_loss)]
         {
             registry.gauge(&format!("throughput.{label}_heap_hw_bytes")).set(hw as f64);

@@ -24,8 +24,8 @@
 //! sensitivity), `cutoff_sweep` (the backlog-guard trade-off),
 //! `orientation_study` (which die bonds to the spreader),
 //! `model_fidelity` (block vs grid thermal model), `sensor_noise_study`
-//! (policy robustness to imperfect sensors), `calibrate` (package
-//! parameter search), and `probe`/`steering_probe` (quick diagnostics).
+//! (policy robustness to imperfect sensors) and `calibrate` (package
+//! parameter search).
 //! `orientation_study` and `sensor_noise_study` delegate all looping to
 //! the sweep engine's scenario axes (`stack_orders` / `sensors`) via
 //! [`run_sweep_cached_or_die`], so their cells are memoized under

@@ -1,6 +1,7 @@
 //! Release-profile scaling assertions for the solver past 10⁴ nodes:
-//! the blocked (supernodal) factorization plus level-set parallel
-//! solves beat the scalar reference path at 64×64, and the implicit
+//! at 64×64 the nested-dissection (ND) pipeline — ordering, scalar
+//! numeric phase and serial triangular solves — beats the same pipeline
+//! under the exact minimum-degree (MD) ordering, and the implicit
 //! integrator holds a ≥10× per-tick advantage over explicit RK4 at the
 //! same resolution.
 //!
@@ -12,8 +13,7 @@
 use std::time::Instant;
 
 use therm3d_floorplan::Experiment;
-use therm3d_thermal::sparse::factor::{analyze, analyze_with_perm};
-use therm3d_thermal::sparse::level::{LevelSchedule, LevelScratch};
+use therm3d_thermal::sparse::factor::{analyze_with_perm, min_degree_order};
 use therm3d_thermal::sparse::CsrMatrix;
 use therm3d_thermal::{Integrator, RcNetwork, ThermalConfig, ThermalModel};
 
@@ -39,85 +39,96 @@ fn uniform_rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + ((i * 13) % 7) as f64 * 0.25).collect()
 }
 
-fn solver_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).clamp(1, 8)
+/// Wall time of each phase of one solver pipeline, seconds.
+struct Phases {
+    ordering: f64,
+    symbolic: f64,
+    numeric: f64,
+    solves: f64,
 }
 
-/// The pre-PR scalar pipeline: minimum-degree ordering (the quadratic
-/// scaling wall past 10⁴ nodes), up-looking column factorization and
-/// serial triangular solves.
-fn time_scalar(a: &CsrMatrix, b: &[f64], solves: usize) -> (f64, Vec<f64>) {
+impl Phases {
+    fn total(&self) -> f64 {
+        self.ordering + self.symbolic + self.numeric + self.solves
+    }
+
+    fn describe(&self, solves: usize) -> String {
+        format!(
+            "ordering {:.1} ms, symbolic {:.1} ms, numeric {:.1} ms, {solves} solves {:.1} ms, \
+             total {:.1} ms",
+            self.ordering * 1e3,
+            self.symbolic * 1e3,
+            self.numeric * 1e3,
+            self.solves * 1e3,
+            self.total() * 1e3
+        )
+    }
+}
+
+/// Times one pipeline phase by phase: the fill-reducing `ordering`,
+/// the symbolic analysis under it, the scalar numeric phase and
+/// `solves` serial triangular solves of `b`. Returns the last solution.
+fn time_pipeline(
+    a: &CsrMatrix,
+    ordering: impl FnOnce() -> Vec<usize>,
+    b: &[f64],
+    solves: usize,
+) -> (Phases, Vec<f64>) {
     let t0 = Instant::now();
-    let symbolic = analyze(a);
+    let perm = ordering();
+    let t1 = Instant::now();
+    let symbolic = analyze_with_perm(a, perm);
+    let t2 = Instant::now();
     let factor = symbolic.factor_numeric(a).unwrap();
+    let t3 = Instant::now();
     let mut x = vec![0.0; a.dim()];
     let mut scratch = vec![0.0; a.dim()];
     for _ in 0..solves {
         factor.solve_into(b, &mut scratch, &mut x);
     }
-    (t0.elapsed().as_secs_f64(), x)
-}
-
-/// The new pipeline this PR adds for big grids: geometric nested
-/// dissection (linear-time, no quadratic ordering pass), supernodal
-/// panels for the numeric phase, level-set scheduling across `threads`
-/// for every triangular solve.
-fn time_blocked(
-    a: &CsrMatrix,
-    perm: &[usize],
-    b: &[f64],
-    solves: usize,
-    threads: usize,
-) -> (f64, Vec<f64>) {
-    let t0 = Instant::now();
-    let symbolic = analyze_with_perm(a, perm.to_vec());
-    let plan = symbolic.supernodal_plan(a);
-    let factor = symbolic.factor_numeric_blocked(a, &plan).unwrap();
-    let schedule = LevelSchedule::new(&factor);
-    let mut x = vec![0.0; a.dim()];
-    let mut scratch = LevelScratch::new();
-    for _ in 0..solves {
-        schedule.solve_into(&factor, b, &mut scratch, &mut x, threads);
-    }
-    (t0.elapsed().as_secs_f64(), x)
+    let phases = Phases {
+        ordering: (t1 - t0).as_secs_f64(),
+        symbolic: (t2 - t1).as_secs_f64(),
+        numeric: (t3 - t2).as_secs_f64(),
+        solves: t3.elapsed().as_secs_f64(),
+    };
+    (phases, x)
 }
 
 #[test]
-fn blocked_factor_and_level_set_solves_beat_scalar_at_scale() {
+fn nested_dissection_pipeline_beats_minimum_degree_at_scale() {
     let net = big_network();
     let a = net.conductance();
     let n = a.dim();
     if RELEASE {
         assert!(n > 8000, "64x64 on the two-die stack passes 10^4/2 nodes: {n}");
     }
-    let perm = net.nested_dissection_perm();
     let b = uniform_rhs(n);
     // A sweep tick does 4 triangular solves (two TR-BDF2 stages of a
     // forward+backward pair); 40 solves ≈ a 10-tick working set.
     let solves = 40;
-    let threads = solver_threads();
-    // Warm-up round so the new path pays no first-touch costs; the
-    // scalar pipeline is dominated by its deterministic ordering pass,
+    // Warm-up round so the ND pipeline pays no first-touch costs; the
+    // MD pipeline is dominated by its deterministic ordering pass,
     // which a warm-up would only run twice.
-    let _ = time_blocked(a, &perm, &b, 1, threads);
-    let (scalar_s, xs) = time_scalar(a, &b, solves);
-    let (blocked_s, xb) = time_blocked(a, &perm, &b, solves, threads);
+    let _ = time_pipeline(a, || net.nested_dissection_perm(), &b, 1);
+    let (md, xm) = time_pipeline(a, || min_degree_order(a), &b, solves);
+    let (nd, xn) = time_pipeline(a, || net.nested_dissection_perm(), &b, solves);
 
     // Correctness in every profile: both are factorizations of A (under
     // different orderings, so only the solutions can be compared).
-    for (i, (s, p)) in xs.iter().zip(&xb).enumerate() {
-        let scale = s.abs().max(p.abs()).max(1.0);
-        assert!((s - p).abs() <= 1e-7 * scale, "x[{i}]: scalar {s} vs blocked {p}");
+    for (i, (m, d)) in xm.iter().zip(&xn).enumerate() {
+        let scale = m.abs().max(d.abs()).max(1.0);
+        assert!((m - d).abs() <= 1e-7 * scale, "x[{i}]: min-degree {m} vs nested dissection {d}");
     }
-    println!(
-        "solver_scale: n={n} scalar pipeline {scalar_s:.3}s vs nd+blocked+leveled {blocked_s:.3}s \
-         ({threads} threads, {solves} solves)"
-    );
+    println!("solver_scale: n={n} minimum degree: {}", md.describe(solves));
+    println!("solver_scale: n={n} nested dissection: {}", nd.describe(solves));
     if RELEASE {
         assert!(
-            blocked_s < scalar_s,
-            "nd+blocked+level-set ({blocked_s:.3}s) must beat the scalar pipeline \
-             ({scalar_s:.3}s) at {n} nodes"
+            nd.total() < md.total(),
+            "the nested-dissection pipeline ({:.3}s) must beat the minimum-degree one \
+             ({:.3}s) at {n} nodes",
+            nd.total(),
+            md.total()
         );
     }
 }
@@ -191,23 +202,16 @@ fn phase_probe() {
     let net = big_network();
     let a = net.conductance();
     let n = a.dim();
-    let perm = net.nested_dissection_perm();
     let b = uniform_rhs(n);
     let t0 = Instant::now();
-    let symbolic = analyze_with_perm(a, perm.clone());
-    println!("symbolic: {:?}", t0.elapsed());
+    let perm = net.nested_dissection_perm();
+    println!("nd ordering: {:?}", t0.elapsed());
     let t0 = Instant::now();
-    let plan = symbolic.supernodal_plan(a);
-    println!("plan: {:?} (supernodes {})", t0.elapsed(), plan.supernode_count());
+    let symbolic = analyze_with_perm(a, perm);
+    println!("symbolic: {:?} (nnz_l {})", t0.elapsed(), symbolic.nnz_l());
     let t0 = Instant::now();
     let fs = symbolic.factor_numeric(a).unwrap();
     println!("scalar numeric: {:?}", t0.elapsed());
-    let t0 = Instant::now();
-    let fb = symbolic.factor_numeric_blocked(a, &plan).unwrap();
-    println!("blocked numeric: {:?}", t0.elapsed());
-    let t0 = Instant::now();
-    let schedule = LevelSchedule::new(&fb);
-    println!("schedule build: {:?}", t0.elapsed());
     let mut x = vec![0.0; n];
     let mut scr = vec![0.0; n];
     let t0 = Instant::now();
@@ -215,14 +219,6 @@ fn phase_probe() {
         fs.solve_into(&b, &mut scr, &mut x);
     }
     println!("40 serial solves: {:?}", t0.elapsed());
-    let mut lscr = LevelScratch::new();
-    for threads in [1usize, 2] {
-        let t0 = Instant::now();
-        for _ in 0..40 {
-            schedule.solve_into(&fb, &b, &mut lscr, &mut x, threads);
-        }
-        println!("40 leveled solves t={threads}: {:?}", t0.elapsed());
-    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Bounded-memory assertions for throughput mode: a long streaming
-//! simulation's heap high-water mark must match a short one's, because
-//! streamed traces never materialize and the recorder folds metrics
-//! online instead of accumulating histories.
+//! Bounded-memory assertions for long simulations: a long cell's heap
+//! high-water mark must match a short one's, because traces stream
+//! from the generator and the engine folds metrics online instead of
+//! accumulating histories.
 //!
 //! The test binary installs [`CountingAllocator`] process-wide, so
 //! everything lives in ONE `#[test]` — a second concurrent test would
@@ -29,7 +29,7 @@ fn durations() -> (f64, f64) {
     }
 }
 
-fn spec(sim_seconds: f64, streaming: bool) -> SweepSpec {
+fn spec(sim_seconds: f64) -> SweepSpec {
     SweepSpec::new("throughput-scale")
         .with_experiments(&[Experiment::Exp1])
         .with_policies(&[PolicyKind::Adapt3d])
@@ -37,16 +37,15 @@ fn spec(sim_seconds: f64, streaming: bool) -> SweepSpec {
         .with_sim_seconds(sim_seconds)
         .with_grid(4, 4)
         .with_threads(1)
-        .with_streaming(streaming)
 }
 
 fn cell(spec: &SweepSpec) -> SweepCell {
     therm3d_sweep::expand(spec).remove(0)
 }
 
-/// Runs one streaming cell and returns (heap high-water delta, allocs).
+/// Runs one cell and returns (heap high-water delta, allocs, result).
 fn measure(sim_seconds: f64) -> (usize, usize, therm3d::RunResult) {
-    let spec = spec(sim_seconds, true);
+    let spec = spec(sim_seconds);
     let cell = cell(&spec);
     let base = reset_high_water();
     let allocs0 = allocation_count();
@@ -59,14 +58,11 @@ fn measure(sim_seconds: f64) -> (usize, usize, therm3d::RunResult) {
 fn streaming_heap_high_water_is_duration_independent() {
     let (short_s, long_s) = durations();
 
-    // Parity first (also warms allocator pools and factor caches so the
-    // measured runs see steady-state heap behavior): the streamed short
-    // cell is bit-identical to the materialized one.
-    let streaming = spec(short_s, true);
-    let materialized = spec(short_s, false);
-    let streamed_result = therm3d_sweep::run_cell(&streaming, &cell(&streaming));
-    let materialized_result = therm3d_sweep::run_cell(&materialized, &cell(&materialized));
-    assert_eq!(streamed_result, materialized_result, "streaming must be bit-identical");
+    // Warm-up run, so the measured runs see steady-state allocator
+    // pools (engine-level streamed-vs-materialized bit-identity is
+    // `tests/streaming_parity.rs`'s job).
+    let warm = spec(short_s);
+    let _ = therm3d_sweep::run_cell(&warm, &cell(&warm));
 
     let (hw_short, allocs_short, short_result) = measure(short_s);
     let (hw_long, allocs_long, long_result) = measure(long_s);

@@ -104,10 +104,6 @@ pub enum Command {
         trace_out: Option<String>,
         /// Metrics-snapshot JSON path (`--metrics-out`).
         metrics_out: Option<String>,
-        /// Stream traces instead of materializing them (`--streaming`);
-        /// bit-identical results, O(1) memory in `sim_seconds`. Only
-        /// ever turns streaming *on* over the spec's `streaming` key.
-        streaming: bool,
     },
     /// Validate a sweep spec and print a preflight report — expansion
     /// count, per-axis summary, shard balance and a cache warm/cold
@@ -225,7 +221,7 @@ USAGE:
                       [--integrator I] [--stack-order O] [--tsv V] [--sensor S] [--csv]
   therm3d sweep       SPEC.toml [--threads N] [--format table|csv|json] [--csv]
                       [--cache-dir DIR] [--no-cache] [--cache-stats] [--shard K/N]
-                      [--progress] [--trace-out FILE] [--metrics-out FILE] [--streaming]
+                      [--progress] [--trace-out FILE] [--metrics-out FILE]
   therm3d check       SPEC.toml [--cache-dir DIR]
   therm3d shard-plan  SPEC.toml --count N [--cache-dir DIR] [--threads N] [--serve]
   therm3d serve       SPEC.toml --listen ADDR [--lease N] [--lease-timeout SECS]
@@ -297,11 +293,8 @@ USAGE:
   timing histograms, cache hit/miss and factorization counters, one
   record per cell) as pretty-printed JSON to FILE.
 
-  --streaming (or `streaming = true` in the spec) runs every cell in
-  throughput mode: jobs stream from the generator straight into the
-  engine, so peak memory is independent of sim_seconds. Results, cell
-  keys and report bytes are identical to the materialized path — the
-  two share one cache.";
+  Every simulation streams its jobs from the generator straight into
+  the engine, so peak memory is independent of the simulated duration.";
 
 struct Tokens {
     items: Vec<String>,
@@ -450,7 +443,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
     let mut progress = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut streaming = false;
     let mut listen: Option<String> = None;
     let mut connect: Option<String> = None;
     let mut lease: Option<usize> = None;
@@ -515,7 +507,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
             "--progress" => progress = true,
             "--trace-out" => trace_out = Some(t.next_value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(t.next_value("--metrics-out")?),
-            "--streaming" => streaming = true,
             "--listen" => listen = Some(t.next_value("--listen")?),
             "--connect" => connect = Some(t.next_value("--connect")?),
             "--lease" => lease = Some(parse_num("--lease", &t.next_value("--lease")?)?),
@@ -564,9 +555,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
              (`serve` also takes `--progress`)"
                 .into(),
         ));
-    }
-    if streaming && !spec_sweep {
-        return Err(ParseCliError("`--streaming` only applies to `sweep SPEC.toml`".into()));
     }
     if count.is_some() && !shard_plan {
         return Err(ParseCliError("`--count` only applies to `shard-plan SPEC.toml`".into()));
@@ -646,7 +634,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
                     progress,
                     trace_out,
                     metrics_out,
-                    streaming,
                 })
             }
             None => Ok(Command::Sweep { sim, csv }),
@@ -1047,7 +1034,6 @@ mod tests {
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
-                streaming: false
             }
         );
     }
@@ -1069,7 +1055,6 @@ mod tests {
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
-                streaming: false
             }
         );
         let cmd = parse(argv("sweep --threads 2 campaign.toml --csv")).unwrap();
@@ -1085,7 +1070,6 @@ mod tests {
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
-                streaming: false
             }
         );
     }
@@ -1105,7 +1089,6 @@ mod tests {
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
-                streaming: false
             }
         );
         let cmd = parse(argv("sweep campaign.toml --csv")).unwrap();
@@ -1121,7 +1104,6 @@ mod tests {
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
-                streaming: false
             }
         );
     }
@@ -1225,20 +1207,6 @@ mod tests {
         );
         // Anywhere else the flags would be silently dropped.
         for line in ["run --progress", "sweep --trace-out x.jsonl", "trace --metrics-out m.json"] {
-            let err = parse(argv(line)).unwrap_err().0;
-            assert!(err.contains("sweep SPEC.toml"), "{line}: {err}");
-        }
-    }
-
-    #[test]
-    fn streaming_flag_parses_on_spec_file_sweeps() {
-        let cmd = parse(argv("sweep s.toml --streaming")).unwrap();
-        assert!(matches!(cmd, Command::SweepFile { streaming: true, .. }), "{cmd:?}");
-        // Off by default — the spec's own `streaming` key stays in charge.
-        let cmd = parse(argv("sweep s.toml")).unwrap();
-        assert!(matches!(cmd, Command::SweepFile { streaming: false, .. }), "{cmd:?}");
-        // Anywhere else the flag would be silently dropped.
-        for line in ["run --streaming", "sweep --streaming", "check s.toml --streaming"] {
             let err = parse(argv(line)).unwrap_err().0;
             assert!(err.contains("sweep SPEC.toml"), "{line}: {err}");
         }

@@ -10,7 +10,7 @@ use therm3d_policies::PolicyKind;
 use therm3d_power::{CorePowerInput, PowerModel, PowerParams, VfTable};
 use therm3d_reliability::ReliabilityReport;
 use therm3d_thermal::{ThermalConfig, ThermalModel};
-use therm3d_workload::{generate_mix, Benchmark, JobTrace, TraceConfig};
+use therm3d_workload::{stream_mix, Benchmark, MixStream, TraceConfig};
 
 use crate::args::{Command, SimOptions, SweepFormat, USAGE};
 
@@ -26,22 +26,24 @@ impl SimOptions {
         cfg
     }
 
-    fn trace(&self) -> JobTrace {
-        match self.benchmark {
-            Some(b) => TraceConfig::new(b, self.exp.num_cores(), self.seconds)
-                .with_seed(self.seed)
-                .generate(),
-            None => generate_mix(&Benchmark::ALL, self.exp.num_cores(), self.seconds, self.seed),
-        }
+    /// The simulator running `kind` on this scenario, and the jobs it
+    /// replays. The policy is built on the stack the engine simulates
+    /// (Adapt3D's thermal indices depend on which layer each core sits
+    /// on), so every subcommand drives one system.
+    fn simulator(&self, kind: PolicyKind) -> (Simulator, MixStream) {
+        let stack = self.exp.stack_with_order(self.stack_order);
+        let policy = kind.build_with_dpm(&stack, 0xACE1, self.dpm);
+        let benchmarks = match &self.benchmark {
+            Some(b) => std::slice::from_ref(b),
+            None => &Benchmark::ALL,
+        };
+        let jobs = stream_mix(benchmarks, self.exp.num_cores(), self.seconds, self.seed);
+        (Simulator::new(self.config(), policy), jobs)
     }
 
     fn run(&self, kind: PolicyKind) -> RunResult {
-        // The policy sees the same stack the engine simulates (Adapt3D's
-        // thermal indices depend on which layer each core sits on).
-        let stack = self.exp.stack_with_order(self.stack_order);
-        let policy = kind.build_with_dpm(&stack, 0xACE1, self.dpm);
-        let mut sim = Simulator::new(self.config(), policy);
-        sim.run(&self.trace(), self.seconds)
+        let (mut sim, jobs) = self.simulator(kind);
+        sim.run_source(jobs, self.seconds)
     }
 }
 
@@ -88,9 +90,6 @@ impl SweepTelemetryOpts<'_> {
 ///
 /// Returns `(report, Option<stats line>)` so tests can assert on the
 /// counters without capturing stderr; [`execute`] routes them.
-// One flat parameter per CLI flag: grouping them into structs would
-// just move the argument list into a builder at every call site.
-#[allow(clippy::too_many_arguments)]
 fn run_sweep_file(
     path: &str,
     threads: Option<usize>,
@@ -99,7 +98,6 @@ fn run_sweep_file(
     cache_stats: bool,
     shard: Option<therm3d_sweep::ShardSpec>,
     telemetry_opts: &SweepTelemetryOpts<'_>,
-    streaming: bool,
 ) -> Result<(String, Option<String>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let mut spec =
@@ -109,11 +107,6 @@ fn run_sweep_file(
     }
     if let Some(shard) = shard {
         spec = spec.with_shard(shard);
-    }
-    // `--streaming` only ever turns throughput mode *on*: results are
-    // bit-identical either way, so there is nothing to turn off.
-    if streaming {
-        spec = spec.with_streaming(true);
     }
     let mut store = match cache_dir {
         Some(dir) => {
@@ -222,38 +215,6 @@ fn check_spec(path: &str, cache_dir: Option<&str>) -> Result<String, String> {
         "  sim: {} s per cell on a {}x{} grid, policy seed {:#06x}",
         spec.sim_seconds, spec.grid.0, spec.grid.1, spec.policy_seed
     );
-    // Memory model: the materialized path holds one JobTrace per
-    // distinct (core-count, trace-seed) pair for the whole run, so its
-    // footprint grows linearly with sim_seconds; streaming replaces
-    // that with O(1) generator state per in-flight cell.
-    if spec.streaming {
-        let _ = writeln!(out, "  memory model: streaming (trace memory is O(1) in sim_seconds)");
-    } else {
-        let job_bytes = std::mem::size_of::<therm3d_workload::Job>() as f64;
-        let core_counts: std::collections::BTreeSet<usize> =
-            spec.experiments.iter().map(|e| e.num_cores()).collect();
-        let traces = core_counts.len() * spec.seeds.len();
-        let mib = core_counts
-            .iter()
-            .map(|&cores| spec.estimated_trace_jobs(cores) * job_bytes)
-            .sum::<f64>()
-            * spec.seeds.len() as f64
-            / (1024.0 * 1024.0);
-        let _ = writeln!(
-            out,
-            "  memory model: materialized, ~{mib:.1} MiB of jobs across {traces} trace(s)"
-        );
-        // A week-long campaign would have blown the old memory model;
-        // flag it before the user finds out the hard way.
-        const WARN_MIB: f64 = 256.0;
-        if mib > WARN_MIB {
-            let _ = writeln!(
-                out,
-                "  warning: materializing ~{mib:.0} MiB of trace jobs; set `streaming = true` \
-                 (or pass --streaming to `sweep`) for O(1) trace memory"
-            );
-        }
-    }
     // Cells that agree on the RC network and integrator share one
     // symbolic analysis and one factor set at run time, so the distinct
     // count is the campaign's real solver-setup cost.
@@ -529,7 +490,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             progress,
             trace_out,
             metrics_out,
-            streaming,
         } => {
             let telemetry_opts = SweepTelemetryOpts {
                 progress: *progress,
@@ -544,7 +504,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 *cache_stats,
                 *shard,
                 &telemetry_opts,
-                *streaming,
             )?;
             out.push_str(&report);
             if let Some(stats) = stats {
@@ -674,13 +633,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             }
         }
         Command::Reliability { sim, policy } => {
-            let stack = sim.exp.stack();
-            let p = policy.build_with_dpm(&stack, 0xACE1, sim.dpm);
-            let mut simulator = Simulator::new(sim.config(), p);
-            let n = stack.num_cores();
-            let mut series: Vec<Vec<f64>> = vec![Vec::new(); n];
-            let trace = sim.trace();
-            simulator.run_with_observer(&trace, sim.seconds, |s| {
+            let (mut simulator, jobs) = sim.simulator(*policy);
+            let mut series: Vec<Vec<f64>> = vec![Vec::new(); simulator.stack().num_cores()];
+            simulator.run_source_with_observer(jobs, sim.seconds, |s| {
                 for (acc, &t) in series.iter_mut().zip(s.core_temps_c) {
                     acc.push(t);
                 }
@@ -810,7 +765,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap();
         let out = check_spec(&spec_path, Some(&cache)).unwrap();
@@ -846,72 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn check_reports_the_memory_model_and_warns_on_huge_traces() {
-        let dir = std::env::temp_dir().join("therm3d_cli_check_memory_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = "experiments = [\"exp1\"]\n\
-             policies = [\"Default\"]\n\
-             benchmarks = [\"gzip\"]\n\
-             grid = 4\n";
-
-        // A short materialized campaign: model stated, no warning.
-        let short = dir.join("short.toml");
-        std::fs::write(&short, format!("name = \"short\"\n{base}sim_seconds = 2.0\n")).unwrap();
-        let out = check_spec(short.to_str().unwrap(), None).unwrap();
-        assert!(out.contains("memory model: materialized"), "{out}");
-        assert!(!out.contains("warning:"), "{out}");
-
-        // A week-long multi-seed materialized campaign would blow the
-        // old memory model; the preflight says so and names the fix.
-        let axes = "seeds = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]\nsim_seconds = 604800.0\n";
-        let week = dir.join("week.toml");
-        std::fs::write(&week, format!("name = \"week\"\n{base}{axes}")).unwrap();
-        let out = check_spec(week.to_str().unwrap(), None).unwrap();
-        assert!(out.contains("warning:"), "{out}");
-        assert!(out.contains("streaming = true"), "{out}");
-
-        // The same campaign with streaming on is O(1) — no warning.
-        let streamed = dir.join("streamed.toml");
-        std::fs::write(&streamed, format!("name = \"week\"\n{base}{axes}streaming = true\n"))
-            .unwrap();
-        let out = check_spec(streamed.to_str().unwrap(), None).unwrap();
-        assert!(out.contains("memory model: streaming"), "{out}");
-        assert!(!out.contains("warning:"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_file_streaming_flag_is_byte_identical() {
-        let spec_path = std::env::temp_dir().join("therm3d_cli_streaming_sweep.toml");
-        std::fs::write(
-            &spec_path,
-            "name = \"cli-streaming\"\n\
-             experiments = [\"exp1\"]\n\
-             policies = [\"Default\", \"Adapt3D\"]\n\
-             benchmarks = [\"gzip\"]\n\
-             sim_seconds = 3.0\n\
-             grid = 4\n",
-        )
-        .unwrap();
-        let run = |streaming| {
-            run_sweep_file(
-                spec_path.to_str().unwrap(),
-                Some(2),
-                SweepFormat::Csv,
-                None,
-                false,
-                None,
-                &SweepTelemetryOpts::default(),
-                streaming,
-            )
-            .unwrap()
-            .0
-        };
-        assert_eq!(run(true), run(false), "streaming is an execution detail");
-    }
-
-    #[test]
     fn sweep_file_runs_a_tiny_campaign_in_every_format() {
         let path = std::env::temp_dir().join("therm3d_cli_sweep_test.toml");
         std::fs::write(
@@ -938,7 +826,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap();
         assert!(table.contains("sweep 'cli-test': 4 cells"), "{table}");
@@ -954,7 +841,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap();
         let mut lines = csv.lines();
@@ -980,7 +866,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap();
         assert!(json.contains("\"name\": \"cli-test\""), "{json}");
@@ -1012,7 +897,6 @@ mod tests {
                 true,
                 None,
                 &SweepTelemetryOpts::default(),
-                false,
             )
             .unwrap()
         };
@@ -1036,7 +920,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap();
         assert_eq!(uncached, warm);
@@ -1071,7 +954,6 @@ mod tests {
                 true,
                 None,
                 &SweepTelemetryOpts::default(),
-                false,
             )
             .unwrap()
         };
@@ -1124,7 +1006,6 @@ mod tests {
             false,
             None,
             &SweepTelemetryOpts::default(),
-            false,
         )
         .unwrap();
 
@@ -1142,7 +1023,6 @@ mod tests {
                 true,
                 Some(shard),
                 &SweepTelemetryOpts::default(),
-                false,
             )
             .unwrap();
             assert!(stats.unwrap().starts_with(&format!("cache[{k}/3]: 0 hits")), "shard {k}");
@@ -1177,7 +1057,6 @@ mod tests {
             true,
             None,
             &SweepTelemetryOpts::default(),
-            false,
         )
         .unwrap();
         assert!(stats.unwrap().starts_with("cache: 4 hits, 0 misses, 0 inserted"), "fully warm");
@@ -1228,7 +1107,6 @@ mod tests {
             false,
             None,
             &SweepTelemetryOpts::default(),
-            false,
         )
         .unwrap();
 
@@ -1240,7 +1118,7 @@ mod tests {
             metrics_out: Some(metrics_path.to_str().unwrap()),
         };
         let (telemetered, _) =
-            run_sweep_file(spec, None, SweepFormat::Csv, None, false, None, &opts, false).unwrap();
+            run_sweep_file(spec, None, SweepFormat::Csv, None, false, None, &opts).unwrap();
         assert_eq!(plain, telemetered, "sidecar sinks must not touch stdout");
 
         // The event stream covers all 4 cells, two events each.
@@ -1415,7 +1293,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap_err();
         assert!(err.starts_with("cannot read"), "{err}");
@@ -1432,7 +1309,6 @@ mod tests {
             progress: false,
             trace_out: None,
             metrics_out: None,
-            streaming: false,
         })
         .unwrap_err();
         assert!(err.starts_with("invalid sweep spec"), "{err}");
@@ -1444,6 +1320,35 @@ mod tests {
         let out = execute(&cmd).unwrap();
         for core in 0..8 {
             assert!(out.contains(&format!("core {core}")), "{out}");
+        }
+    }
+
+    #[test]
+    fn reliability_simulates_the_ordered_stack() {
+        // `--stack-order` reorders the dies the engine simulates; the
+        // policy must be built on that same stack, or Adapt3D steers by
+        // the default layer map while the heat follows the ordered one.
+        let cmd = parse(argv(
+            "reliability --exp exp3 --policy Adapt3D --stack-order cores-near \
+             --benchmark web-high -t 20 --grid 4",
+        ))
+        .unwrap();
+        let Command::Reliability { sim, policy } = &cmd else { panic!("{cmd:?}") };
+        let stack = sim.exp.stack_with_order(sim.stack_order);
+        let n = stack.num_cores();
+        let mut engine = Simulator::new(sim.config(), policy.build_with_dpm(&stack, 0xACE1, false));
+        let trace =
+            TraceConfig::new(Benchmark::WebHigh, n, sim.seconds).with_seed(sim.seed).generate();
+        let mut series: Vec<Vec<f64>> = vec![Vec::new(); n];
+        engine.run_with_observer(&trace, sim.seconds, |s| {
+            for (acc, &t) in series.iter_mut().zip(s.core_temps_c) {
+                acc.push(t);
+            }
+        });
+        let out = execute(&cmd).unwrap();
+        for (core, s) in series.iter().enumerate() {
+            let row = ReliabilityReport::from_series(s, 0.1).table_row(&format!("core {core}"));
+            assert!(out.contains(&row), "core {core}: expected `{row}` in\n{out}");
         }
     }
 }

@@ -39,14 +39,12 @@ pub mod engine;
 pub mod result;
 pub mod scenario;
 pub mod sensor;
-pub mod streaming;
 
 pub use config::{SimConfig, DEFAULT_SENSOR_SEED};
 pub use engine::{Simulator, TickSample};
 pub use result::RunResult;
 pub use scenario::ScenarioConfig;
 pub use sensor::{SensorModel, SensorProfile};
-pub use streaming::StreamingRecorder;
 
 pub use therm3d_floorplan as floorplan;
 pub use therm3d_metrics as metrics;

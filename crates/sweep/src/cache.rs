@@ -61,8 +61,11 @@ use crate::spec::SweepSpec;
 /// the pre-factored implicit scheme, which perturbs every trajectory.
 /// v3: the scenario axes — stack order, TSV/interlayer variant, sensor
 /// profile — joined the cell descriptor, and noisy sensor seeds are now
-/// derived from the per-cell trace seed; v2 entries miss cleanly.)
-pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v3";
+/// derived from the per-cell trace seed; v2 entries miss cleanly.
+/// v4: networks of 2 048 nodes or more factor through the scalar
+/// numeric phase instead of the blocked supernodal one, which changes
+/// their results by rounding; smaller grids keep their bytes.)
+pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v4";
 
 /// FNV-64 fingerprint of [`ENGINE_VERSION`] plus the source text of the
 /// cell-descriptor serialization region below (the `lint:
@@ -72,7 +75,7 @@ pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v3";
 /// the salt — which would serve stale cache entries for new semantics —
 /// makes the lint (and CI) fail until both constants are updated
 /// together. The lint's error message prints the new value.
-pub const DESCRIPTOR_FINGERPRINT: u64 = 0x8bc0_d389_2a7b_ab31;
+pub const DESCRIPTOR_FINGERPRINT: u64 = 0x66fc_9e5a_89ea_7450;
 
 /// File name of the result store inside a cache directory.
 pub const STORE_FILE: &str = "results.tsv";

@@ -1,10 +1,11 @@
 //! Parallel execution of a sweep's run matrix, with optional
 //! content-addressed result caching.
 //!
-//! Traces are generated once per (core-count, seed) pair and shared
-//! read-only across workers; each worker builds its own [`Simulator`]
-//! per cell, so no simulation state crosses threads and the aggregated
-//! results are bit-identical for any thread count.
+//! Each worker builds its own [`Simulator`] per cell and streams the
+//! cell's job mix straight from the generator ([`stream_mix`]), so no
+//! simulation state crosses threads, the aggregated results are
+//! bit-identical for any thread count, and trace memory is O(1) in
+//! `sim_seconds`.
 //!
 //! With a [`CacheStore`] attached ([`run_with_cache`]), every cell is
 //! looked up by its [`cell_key`] *before* any
@@ -29,7 +30,7 @@ use therm3d::{RunResult, ScenarioConfig, SimConfig, Simulator};
 use therm3d_telemetry::span::elapsed_us;
 use therm3d_telemetry::{CellMetrics, Event, Span};
 use therm3d_thermal::{FactorShare, ThermalConfig};
-use therm3d_workload::{generate_mix, stream_mix, JobTrace};
+use therm3d_workload::stream_mix;
 
 use crate::cache::{cell_key, CacheStore, ENGINE_VERSION};
 use crate::error::SweepError;
@@ -85,29 +86,12 @@ pub fn model_fingerprint(spec: &SweepSpec, cell: &SweepCell) -> String {
     )
 }
 
-/// Runs a single cell in isolation, generating its trace on the fly.
-///
-/// The figure binaries use this for one-off cells; [`run`] amortizes
-/// trace generation across the matrix instead. With `spec.streaming`
-/// set, the trace is never materialized: jobs stream straight from the
-/// generator into the engine (bit-identical results, O(1) memory in
-/// `sim_seconds`).
+/// Runs a single cell in isolation, without cache or factor sharing
+/// (the figure binaries' one-off cells). Same result as the cell's row
+/// in a [`run`] of `spec`.
 #[must_use]
 pub fn run_cell(spec: &SweepSpec, cell: &SweepCell) -> RunResult {
-    if spec.streaming {
-        return run_cell_costed(spec, cell, None, None).0;
-    }
-    let trace = generate_mix(
-        &spec.benchmarks,
-        cell.experiment.num_cores(),
-        spec.sim_seconds,
-        cell.trace_seed,
-    );
-    run_cell_with_trace(spec, cell, &trace)
-}
-
-fn run_cell_with_trace(spec: &SweepSpec, cell: &SweepCell, trace: &JobTrace) -> RunResult {
-    run_cell_costed(spec, cell, Some(trace), None).0
+    run_cell_costed(spec, cell, None).0
 }
 
 /// The cost of simulating one cell: wall-clock split by phase plus the
@@ -122,14 +106,10 @@ struct CellCost {
     symbolic_analyses: u64,
 }
 
-/// Simulates one cell. A `Some(trace)` runs the classic materialized
-/// path; `None` streams the cell's job mix directly from the generator
-/// ([`stream_mix`]) without ever building a [`JobTrace`] — results are
-/// bit-identical either way, so both paths share one cache key.
+/// Simulates one cell, streaming its job mix from the generator.
 fn run_cell_costed(
     spec: &SweepSpec,
     cell: &SweepCell,
-    trace: Option<&JobTrace>,
     share: Option<&FactorShare>,
 ) -> (RunResult, CellCost) {
     // lint: allow(no-wall-clock): per-cell cost accounting only — never feeds results
@@ -142,18 +122,13 @@ fn run_cell_costed(
     let setup_us = elapsed_us(t_wall);
     // lint: allow(no-wall-clock): per-cell cost accounting only — never feeds results
     let t_sim = Instant::now();
-    let result = match trace {
-        Some(trace) => sim.run(trace, spec.sim_seconds),
-        None => {
-            let source = stream_mix(
-                &spec.benchmarks,
-                cell.experiment.num_cores(),
-                spec.sim_seconds,
-                cell.trace_seed,
-            );
-            sim.run_source(source, spec.sim_seconds)
-        }
-    };
+    let source = stream_mix(
+        &spec.benchmarks,
+        cell.experiment.num_cores(),
+        spec.sim_seconds,
+        cell.trace_seed,
+    );
+    let result = sim.run_source(source, spec.sim_seconds);
     let cost = CellCost {
         wall_us: elapsed_us(t_wall),
         setup_us,
@@ -169,10 +144,9 @@ fn run_cell_costed(
 fn try_run_cell(
     spec: &SweepSpec,
     cell: &SweepCell,
-    trace: Option<&JobTrace>,
     share: Option<&FactorShare>,
 ) -> Result<(RunResult, CellCost), String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, trace, share)))
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, share)))
         .map_err(|payload| panic_message(payload.as_ref()))
 }
 
@@ -181,17 +155,16 @@ fn try_run_cell(
 fn run_cell_observed(
     spec: &SweepSpec,
     cell: &SweepCell,
-    trace: Option<&JobTrace>,
     share: Option<&FactorShare>,
     key_hex: &str,
     shard: &str,
     telemetry: Option<&RunTelemetry>,
 ) -> Result<(RunResult, CellCost), String> {
-    let Some(tel) = telemetry else { return try_run_cell(spec, cell, trace, share) };
+    let Some(tel) = telemetry else { return try_run_cell(spec, cell, share) };
     if let Some(events) = &tel.events {
         events.emit(&Event::CellStart { shard, cell: cell.index, key: key_hex });
     }
-    let outcome = try_run_cell(spec, cell, trace, share);
+    let outcome = try_run_cell(spec, cell, share);
     if let Some(events) = &tel.events {
         match &outcome {
             Ok((_, cost)) => events.emit(&Event::CellFinish {
@@ -319,7 +292,7 @@ fn run_selected(
     let shard_label = spec.shard.to_string();
     // Only this shard's cells are expanded into the work list; the full
     // matrix is the default (shard 0/1). Cells keep their canonical
-    // indices and derived seeds, so everything below — keys, traces,
+    // indices and derived seeds, so everything below — keys, seeds,
     // write-back, report rows — is identical whether a cell runs in a
     // sharded process or an unsharded one. An explicit selection (a
     // coordinator lease) narrows the work list the same way a shard
@@ -395,28 +368,6 @@ fn run_selected(
         }
     }
 
-    // One trace per (core-count, seed): generated up front for the
-    // pending cells only, shared read-only by every worker. In
-    // streaming mode no trace is ever materialized — each worker pulls
-    // jobs straight from a per-cell generator, so the map stays empty
-    // and peak memory is independent of `sim_seconds`.
-    let mut traces: BTreeMap<(usize, u64), JobTrace> = BTreeMap::new();
-    if !spec.streaming {
-        for &i in &pending {
-            let cell = &cells[i];
-            let key = (cell.experiment.num_cores(), cell.trace_seed);
-            traces.entry(key).or_insert_with(|| {
-                // lint: allow(no-wall-clock): trace-generation telemetry only — never feeds results
-                let t = Instant::now();
-                let trace = generate_mix(&spec.benchmarks, key.0, spec.sim_seconds, key.1);
-                if let Some(tel) = telemetry {
-                    tel.registry.histogram_us("sweep.trace_gen_us").record(elapsed_us(t));
-                }
-                trace
-            });
-        }
-    }
-
     // One factor share per distinct thermal-model fingerprint among the
     // pending cells: every cell whose model resolves identically adopts
     // the group's symbolic analysis and factors instead of recomputing
@@ -428,12 +379,9 @@ fn run_selected(
     let mut costs: Vec<Option<CellCost>> = vec![None; cells.len()];
     if threads == 1 {
         for &i in &pending {
-            let cell = &cells[i];
-            let trace = traces.get(&(cell.experiment.num_cores(), cell.trace_seed));
             let outcome = run_cell_observed(
                 spec,
-                cell,
-                trace,
+                &cells[i],
                 share_of(i),
                 &keys[i].hex(),
                 &shard_label,
@@ -451,7 +399,7 @@ fn run_selected(
         let next = AtomicUsize::new(0);
         type CellOutcome = (usize, Result<RunResult, String>, Option<CellCost>);
         let (tx, rx) = mpsc::channel::<CellOutcome>();
-        let (next, pending_ref, cells_ref, traces_ref) = (&next, &pending, &cells, &traces);
+        let (next, pending_ref, cells_ref) = (&next, &pending, &cells);
         let (keys_ref, shard_ref) = (&keys, shard_label.as_str());
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -459,12 +407,9 @@ fn run_selected(
                 scope.spawn(move || loop {
                     let slot = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&i) = pending_ref.get(slot) else { break };
-                    let cell = &cells_ref[i];
-                    let trace = traces_ref.get(&(cell.experiment.num_cores(), cell.trace_seed));
                     let outcome = run_cell_observed(
                         spec,
-                        cell,
-                        trace,
+                        &cells_ref[i],
                         share_of(i),
                         &keys_ref[i].hex(),
                         shard_ref,
@@ -512,8 +457,8 @@ fn run_selected(
         }
         // Heap accounting from the counting allocator, when the binary
         // installs one (benches, memory tests); inert zeros otherwise.
-        // This is where throughput mode shows up: with `streaming` on,
-        // the high-water mark stops scaling with `sim_seconds`.
+        // Traces stream, so the high-water mark does not scale with
+        // `sim_seconds`.
         let reg = &tel.registry;
         reg.gauge("sweep.heap_live_bytes").set(therm3d_telemetry::alloc::live_bytes() as f64);
         reg.gauge("sweep.heap_high_water_bytes")
@@ -664,24 +609,6 @@ mod tests {
         // An out-of-range shard is an invalid spec, not an empty report.
         let err = run(&tiny_spec(1).with_shard(ShardSpec { index: 3, count: 3 })).unwrap_err();
         assert!(matches!(err, SweepError::InvalidSpec(_)), "{err}");
-    }
-
-    #[test]
-    fn streaming_report_is_byte_identical_to_materialized() {
-        let materialized = run(&tiny_spec(2).with_dpm(&[false, true])).unwrap();
-        let streamed = run(&tiny_spec(2).with_dpm(&[false, true]).with_streaming(true)).unwrap();
-        assert_eq!(streamed.rows, materialized.rows);
-        assert_eq!(streamed.csv(), materialized.csv());
-        // Same cell keys too: streaming is an execution detail, so both
-        // paths address one shared cache.
-        let keys: Vec<_> = streamed.rows.iter().map(|r| &r.key).collect();
-        let expect: Vec<_> = materialized.rows.iter().map(|r| &r.key).collect();
-        assert_eq!(keys, expect);
-        // And the one-off cell entry point honors the flag the same way.
-        let spec = tiny_spec(1).with_streaming(true);
-        let cells = expand_shard(&spec).into_iter().next().unwrap();
-        let lone = run_cell(&spec, &cells);
-        assert_eq!(lone, streamed.rows[0].result);
     }
 
     #[test]

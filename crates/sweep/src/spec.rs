@@ -85,13 +85,6 @@ pub struct SweepSpec {
     /// caches union cleanly and merged reports are byte-identical to an
     /// unsharded run.
     pub shard: ShardSpec,
-    /// Stream each cell's job trace instead of materializing it up
-    /// front, making memory O(1) in `sim_seconds` (week-long cells).
-    /// Like `threads` and `shard`, streaming is an execution detail:
-    /// results are bit-identical either way and the flag never enters a
-    /// cell's descriptor or [`cell_key`](crate::cache::cell_key), so
-    /// streamed and materialized runs share one cache.
-    pub streaming: bool,
 }
 
 impl SweepSpec {
@@ -121,7 +114,6 @@ impl SweepSpec {
             policy_seed: DEFAULT_POLICY_SEED,
             threads: 0,
             shard: ShardSpec::FULL,
-            streaming: false,
         }
     }
 
@@ -221,30 +213,6 @@ impl SweepSpec {
     pub fn with_shard(mut self, shard: ShardSpec) -> Self {
         self.shard = shard;
         self
-    }
-
-    /// Enables (or disables) streaming trace generation.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Rough number of jobs one cell's materialized trace would hold
-    /// for an `n_cores` system: offered jobs ≈ Σ_b U_b·N/E\[S\] over each
-    /// benchmark's equal duration share. This powers the `therm3d
-    /// check` memory-model preflight; the streamed path never holds
-    /// them.
-    #[must_use]
-    pub fn estimated_trace_jobs(&self, n_cores: usize) -> f64 {
-        let slot_s = self.sim_seconds / self.benchmarks.len() as f64;
-        self.benchmarks
-            .iter()
-            .map(|b| {
-                let cfg = therm3d_workload::TraceConfig::new(*b, n_cores.max(1), slot_s.max(1e-9));
-                b.stats().avg_utilization * n_cores as f64 / cfg.mean_job_s * slot_s
-            })
-            .sum()
     }
 
     /// Number of cells the spec expands to.

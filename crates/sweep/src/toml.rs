@@ -25,7 +25,6 @@
 //! policy_seed = 44257
 //! threads = 0                  # 0 = one per CPU
 //! shard = "0/1"                # run shard K of N ("0/1" = full matrix)
-//! streaming = false            # stream traces (O(1) memory in sim_seconds)
 //! ```
 //!
 //! Omitted keys keep the [`SweepSpec::new`] defaults. Note that when
@@ -336,13 +335,6 @@ fn apply_key(spec: &mut SweepSpec, key: &str, value: &Value) -> Result<(), Strin
             Value::Scalar(s) => spec.shard = typed::<ShardSpec>(s, key)?,
             Value::Array(_) => return Err("`shard` expects one \"K/N\" string".into()),
         },
-        "streaming" => match value {
-            Value::Scalar(Scalar::Bool(b)) => spec.streaming = *b,
-            Value::Scalar(other) => {
-                return Err(format!("`streaming` expects a boolean, got a {}", other.type_name()));
-            }
-            Value::Array(_) => return Err("`streaming` expects one boolean".into()),
-        },
         other => return Err(format!("unknown key `{other}`")),
     }
     Ok(())
@@ -391,7 +383,6 @@ pub fn to_toml(spec: &SweepSpec) -> String {
     let _ = writeln!(out, "policy_seed = {}", spec.policy_seed);
     let _ = writeln!(out, "threads = {}", spec.threads);
     let _ = writeln!(out, "shard = \"{}\"", spec.shard);
-    let _ = writeln!(out, "streaming = {}", spec.streaming);
     out
 }
 
@@ -505,21 +496,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_key_parses_validates_and_round_trips() {
-        assert!(!from_toml("sim_seconds = 1.0\n").unwrap().streaming, "defaults off");
-        let spec = from_toml("streaming = true\nsim_seconds = 1.0\n").unwrap();
-        assert!(spec.streaming);
-        assert_eq!(from_toml(&to_toml(&spec)).unwrap(), spec);
-        let err = from_toml("streaming = 1\n").unwrap_err();
-        assert!(err.contains("streaming") && err.contains("boolean"), "{err}");
-        let err = from_toml("streaming = [true]\n").unwrap_err();
-        assert!(err.contains("one boolean"), "{err}");
-    }
-
-    #[test]
     fn unknown_key_is_an_error() {
         let err = from_toml("polices = [\"Default\"]\n").unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
+        // Traces always stream, so `streaming` is not a key either.
+        let err = from_toml("streaming = true\nsim_seconds = 1.0\n").unwrap_err();
+        assert!(err.contains("unknown key `streaming`"), "{err}");
     }
 
     #[test]
@@ -636,8 +618,7 @@ mod tests {
             .with_sim_seconds(12.5)
             .with_grid(6, 8)
             .with_policy_seed(0xBEEF)
-            .with_threads(3)
-            .with_streaming(true);
+            .with_threads(3);
         let text = to_toml(&spec);
         let parsed = from_toml(&text).unwrap();
         assert_eq!(parsed, spec, "{text}");

@@ -10,10 +10,7 @@ use therm3d_telemetry::Span;
 use crate::config::{Integrator, ThermalConfig};
 use crate::network::RcNetwork;
 use crate::share::FactorShare;
-use crate::sparse::factor::{
-    analyze, analyze_with_perm, LdlFactor, SupernodalPlan, Symbolic, BLOCKED_MIN_DIM,
-};
-use crate::sparse::level::{LevelSchedule, LevelScratch};
+use crate::sparse::factor::{analyze, analyze_with_perm, LdlFactor, Symbolic};
 use crate::sparse::CsrMatrix;
 use crate::units::{celsius_from_kelvin, kelvin_from_celsius};
 
@@ -29,6 +26,10 @@ const RK4_STABILITY: f64 = 2.78;
 /// stability-bounded substeps; one substep per tick would be ~2× faster
 /// but drifts by ~0.8 °C on mid-frequency (tens-of-ms) thermal modes.
 pub(crate) const MAX_IMPLICIT_STEP_S: f64 = 0.035;
+/// Network size at which the symbolic analysis switches from the exact
+/// minimum-degree ordering (quadratic-plus in the node count) to the
+/// geometric nested-dissection order (near-linear on the grid).
+const ND_MIN_DIM: usize = 2048;
 /// Cap on simultaneously cached implicit factorizations, evicted LRU
 /// (each distinct substep size needs one; real drivers use one or two).
 const MAX_CACHED_FACTORS: usize = 8;
@@ -120,22 +121,11 @@ struct ImplicitState {
     /// elimination tree and fill counts are computed once and every
     /// factorization after the first runs only its numeric phase.
     symbolic: Option<Arc<Symbolic>>,
-    /// Supernodal plan for the blocked numeric phase; built alongside
-    /// the analysis once the system is at least [`BLOCKED_MIN_DIM`].
-    plan: Option<Arc<SupernodalPlan>>,
     /// Optional cross-model share (sweep cells with one fingerprint).
     share: Option<FactorShare>,
     /// Nested-dissection ordering hint for large networks, where the
     /// exact minimum-degree search is intractable.
     perm_hint: Option<Vec<usize>>,
-    /// Level-set schedule for parallel triangular solves; built lazily
-    /// from the first factor once `solver_threads > 1`.
-    schedule: Option<Arc<LevelSchedule>>,
-    level_scratch: LevelScratch,
-    /// Worker count for the level-set solves (1 = serial reference
-    /// path; the sweep runner keeps cells at 1 and parallelizes across
-    /// cells instead).
-    solver_threads: usize,
     /// Factorizations *ensured* over the model's lifetime — computed
     /// locally or adopted ready-made from the attached share; the count
     /// is identical either way, so it is scheduling-independent (tests
@@ -150,35 +140,20 @@ struct ImplicitState {
 }
 
 impl ImplicitState {
-    /// Runs the symbolic analysis for `a`, with the nested-dissection
-    /// hint and the supernodal plan once the system is large enough for
-    /// the blocked path.
-    fn analyze_for(
-        a: &CsrMatrix,
-        perm_hint: Option<&Vec<usize>>,
-    ) -> (Symbolic, Option<SupernodalPlan>) {
-        let symbolic = match perm_hint {
+    /// Runs the symbolic analysis for `a`, under the nested-dissection
+    /// hint when the network is large enough to carry one.
+    fn analyze_for(a: &CsrMatrix, perm_hint: Option<&Vec<usize>>) -> Symbolic {
+        let _span = Span::enter("thermal.symbolic_analyze_us");
+        match perm_hint {
             Some(p) if p.len() == a.dim() => analyze_with_perm(a, p.clone()),
             _ => analyze(a),
-        };
-        let plan = (a.dim() >= BLOCKED_MIN_DIM).then(|| symbolic.supernodal_plan(a));
-        (symbolic, plan)
+        }
     }
 
-    /// Runs the numeric phase — blocked when a supernodal plan exists,
-    /// scalar (the golden reference) otherwise.
-    fn numeric_phase(
-        symbolic: &Symbolic,
-        plan: Option<&SupernodalPlan>,
-        a: &CsrMatrix,
-        what: &str,
-    ) -> LdlFactor {
+    /// Runs the numeric phase of `a` against `symbolic`.
+    fn numeric_phase(symbolic: &Symbolic, a: &CsrMatrix, what: &str) -> LdlFactor {
         let _span = Span::enter("thermal.factor_numeric_us");
-        let result = match plan {
-            Some(p) => symbolic.factor_numeric_blocked(a, p),
-            None => symbolic.factor_numeric(a),
-        };
-        result.unwrap_or_else(|e| panic!("{what} must be SPD: {e}"))
+        symbolic.factor_numeric(a).unwrap_or_else(|e| panic!("{what} must be SPD: {e}"))
     }
 
     /// Ensures a factorization of `a` for `key`: reuses (or lazily
@@ -200,14 +175,11 @@ impl ImplicitState {
         let Some(share) = self.share.clone() else {
             // Unshared path: the pre-share behaviour, unchanged.
             if !locally_compatible {
-                let _span = Span::enter("thermal.symbolic_analyze_us");
-                let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
-                self.symbolic = Some(Arc::new(symbolic));
-                self.plan = plan.map(Arc::new);
+                self.symbolic = Some(Arc::new(Self::analyze_for(a, self.perm_hint.as_ref())));
                 self.symbolic_count += 1;
             }
             let symbolic = self.symbolic.as_ref().expect("analyzed above");
-            let factored = Arc::new(Self::numeric_phase(symbolic, self.plan.as_deref(), a, what));
+            let factored = Arc::new(Self::numeric_phase(symbolic, a, what));
             self.factor_count += 1;
             return factored;
         };
@@ -219,14 +191,10 @@ impl ImplicitState {
                 .as_ref()
                 .is_some_and(|s| s.dim() == a.dim() && s.pattern_nnz() == a.nnz());
             if !share_compatible {
-                let _span = Span::enter("thermal.symbolic_analyze_us");
-                let (symbolic, plan) = Self::analyze_for(a, self.perm_hint.as_ref());
-                state.symbolic = Some(Arc::new(symbolic));
-                state.plan = plan.map(Arc::new);
+                state.symbolic = Some(Arc::new(Self::analyze_for(a, self.perm_hint.as_ref())));
                 state.symbolic_analyses += 1;
             }
             self.symbolic = state.symbolic.clone();
-            self.plan = state.plan.clone();
             // Ensured semantics: adopting counts exactly like computing,
             // so per-model counters stay scheduling-independent.
             self.symbolic_count += 1;
@@ -242,7 +210,7 @@ impl ImplicitState {
             f
         } else {
             let symbolic = self.symbolic.as_ref().expect("ensured above");
-            let f = Arc::new(Self::numeric_phase(symbolic, self.plan.as_deref(), a, what));
+            let f = Arc::new(Self::numeric_phase(symbolic, a, what));
             match key {
                 FactorKey::Steady => state.steady = Some(Arc::clone(&f)),
                 FactorKey::Step(h) => state.steps.push((h, Arc::clone(&f))),
@@ -252,23 +220,6 @@ impl ImplicitState {
         };
         self.factor_count += 1;
         factored
-    }
-
-    /// Solves against `factored` — level-set parallel when configured,
-    /// the serial reference sweep otherwise. Both are bit-identical.
-    fn solve_with(
-        factored: &LdlFactor,
-        schedule: Option<&LevelSchedule>,
-        level_scratch: &mut LevelScratch,
-        threads: usize,
-        rhs: &[f64],
-        solve_scratch: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        match schedule {
-            Some(s) if threads > 1 => s.solve_into(factored, rhs, level_scratch, out, threads),
-            _ => factored.solve_into(rhs, solve_scratch, out),
-        }
     }
 }
 
@@ -308,13 +259,10 @@ impl ThermalModel {
         let n = network.node_count();
         let temps_k = vec![network.ambient_k(); n];
         let stable_dt = RK4_SAFETY * RK4_STABILITY / network.stiffness_bound();
-        let mut implicit = ImplicitState { solver_threads: 1, ..ImplicitState::default() };
-        // Production-scale grids get the geometric nested-dissection
-        // order (the exact minimum-degree search is quadratic-plus) and,
-        // through `analyze_for`, the blocked numeric phase.
-        if n >= BLOCKED_MIN_DIM {
-            implicit.perm_hint = Some(network.nested_dissection_perm());
-        }
+        let implicit = ImplicitState {
+            perm_hint: (n >= ND_MIN_DIM).then(|| network.nested_dissection_perm()),
+            ..ImplicitState::default()
+        };
         Self {
             temps_k,
             node_power: vec![0.0; n],
@@ -334,22 +282,6 @@ impl ThermalModel {
     /// construction — so nothing is computed twice.
     pub fn set_factor_share(&mut self, share: FactorShare) {
         self.implicit.share = Some(share);
-    }
-
-    /// Sets the worker count for the level-set triangular solves.
-    /// The default of 1 keeps the serial reference path; any value is
-    /// bit-identical to any other (see
-    /// [`crate::sparse::level::LevelSchedule`]), so this is purely a
-    /// wall-clock knob for large grids. Sweep cells stay at 1 — their
-    /// parallelism lives across cells in the runner.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.implicit.solver_threads = threads.max(1);
-    }
-
-    /// Current level-set solve worker count.
-    #[must_use]
-    pub fn solver_threads(&self) -> usize {
-        self.implicit.solver_threads
     }
 
     /// The transient integration scheme this model steps with.
@@ -481,18 +413,8 @@ impl ThermalModel {
         if self.implicit.caches.len() >= MAX_CACHED_FACTORS {
             self.implicit.caches.remove(0);
         }
-        self.ensure_level_schedule(&factored);
         self.implicit.caches.push(StepCache { h_bits, factor: factored });
         self.implicit.caches.len() - 1
-    }
-
-    /// Builds the level-set solve schedule from the first factor once
-    /// parallel solves are requested (the schedule is structure-only,
-    /// so any factor of the shared pattern works).
-    fn ensure_level_schedule(&mut self, factored: &LdlFactor) {
-        if self.implicit.solver_threads > 1 && self.implicit.schedule.is_none() {
-            self.implicit.schedule = Some(Arc::new(LevelSchedule::new(factored)));
-        }
     }
 
     /// One TR-BDF2 step of size `h` against the cached factor in `slot`.
@@ -508,18 +430,8 @@ impl ThermalModel {
         let amb = self.network.ambient_k();
         let cap = self.network.capacitance();
         let g_amb = self.network.ambient_conductance();
-        let ImplicitState {
-            caches,
-            rhs,
-            stage,
-            solve_scratch,
-            schedule,
-            level_scratch,
-            solver_threads,
-            ..
-        } = &mut self.implicit;
+        let ImplicitState { caches, rhs, stage, solve_scratch, .. } = &mut self.implicit;
         let factored = &caches[slot].factor;
-        let (schedule, threads) = (schedule.as_deref(), *solver_threads);
         rhs.resize(n, 0.0);
         stage.resize(n, 0.0);
 
@@ -530,30 +442,14 @@ impl ThermalModel {
             let b = self.node_power[i] + g_amb[i] * amb;
             rhs[i] = alpha * cap[i] * self.temps_k[i] - gt[i] + 2.0 * b;
         }
-        ImplicitState::solve_with(
-            factored,
-            schedule,
-            level_scratch,
-            threads,
-            rhs,
-            solve_scratch,
-            stage,
-        );
+        factored.solve_into(rhs, solve_scratch, stage);
 
         // Stage 2 right-hand side: α·C·(c1·T_γ − c2·T_n) + b.
         for i in 0..n {
             let b = self.node_power[i] + g_amb[i] * amb;
             rhs[i] = alpha * cap[i] * (TRBDF2_C1 * stage[i] - TRBDF2_C2 * self.temps_k[i]) + b;
         }
-        ImplicitState::solve_with(
-            factored,
-            schedule,
-            level_scratch,
-            threads,
-            rhs,
-            solve_scratch,
-            &mut self.temps_k,
-        );
+        factored.solve_into(rhs, solve_scratch, &mut self.temps_k);
     }
 
     fn rk4_substep(&mut self, h: f64) {
@@ -647,18 +543,9 @@ impl ThermalModel {
                 "conductance matrix",
                 FactorKey::Steady,
             );
-            self.ensure_level_schedule(&factored);
             self.implicit.steady = Some(factored);
         }
-        let ImplicitState {
-            steady,
-            rhs,
-            solve_scratch,
-            schedule,
-            level_scratch,
-            solver_threads,
-            ..
-        } = &mut self.implicit;
+        let ImplicitState { steady, rhs, solve_scratch, .. } = &mut self.implicit;
         rhs.clear();
         rhs.extend(
             self.node_power
@@ -666,15 +553,7 @@ impl ThermalModel {
                 .zip(self.network.ambient_conductance())
                 .map(|(&p, &g)| p + g * amb),
         );
-        ImplicitState::solve_with(
-            steady.as_ref().expect("factored above"),
-            schedule.as_deref(),
-            level_scratch,
-            *solver_threads,
-            rhs,
-            solve_scratch,
-            &mut self.temps_k,
-        );
+        steady.as_ref().expect("factored above").solve_into(rhs, solve_scratch, &mut self.temps_k);
         self.block_temperatures_c()
     }
 
@@ -981,32 +860,6 @@ mod tests {
             for (a, b) in m.node_temperatures_k().iter().zip(reference) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn parallel_solver_threads_are_bit_identical_to_serial() {
-        let stack = Experiment::Exp2.stack();
-        let cfg = ThermalConfig::paper_default().with_grid(8, 8);
-        let p = {
-            let mut p = vec![0.0; stack.num_blocks()];
-            for c in stack.core_ids() {
-                p[stack.core_block_index(c)] = 3.0;
-            }
-            p
-        };
-        let mut serial = ThermalModel::new(&stack, cfg.clone());
-        let mut parallel = ThermalModel::new(&stack, cfg);
-        parallel.set_solver_threads(4);
-        assert_eq!(parallel.solver_threads(), 4);
-        for m in [&mut serial, &mut parallel] {
-            m.initialize_steady_state(&p);
-            for _ in 0..20 {
-                m.step(0.1);
-            }
-        }
-        for (a, b) in parallel.node_temperatures_k().iter().zip(serial.node_temperatures_k()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "leveled solves must match serial bit-for-bit");
         }
     }
 

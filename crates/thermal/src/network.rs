@@ -338,9 +338,10 @@ impl RcNetwork {
     ///
     /// Near-linear to compute, where the exact minimum-degree search in
     /// [`crate::sparse::factor::min_degree_order`] is quadratic-plus —
-    /// the difference between milliseconds and minutes at the
-    /// 64×64-per-layer sizes the blocked factorization targets, with
-    /// comparable fill on these grid Laplacians.
+    /// the difference between milliseconds and minutes at 64×64 per
+    /// layer, with comparable fill on these grid Laplacians.
+    /// [`crate::ThermalModel`] orders every network of 2 048 nodes or
+    /// more this way.
     #[must_use]
     pub fn nested_dissection_perm(&self) -> Vec<usize> {
         let cells_per_layer = self.grids[0].num_cells();

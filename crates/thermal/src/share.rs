@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::sparse::factor::{LdlFactor, SupernodalPlan, Symbolic};
+use crate::sparse::factor::{LdlFactor, Symbolic};
 
 /// Shared factor state for one thermal-model fingerprint. Cloning the
 /// handle shares the underlying state (it is an `Arc` internally).
@@ -32,13 +32,11 @@ pub struct FactorShare {
     inner: Arc<Mutex<ShareState>>,
 }
 
-/// The guarded state: one symbolic analysis (plus the supernodal plan
-/// where the blocked path applies), the steady-state factor of `G`,
-/// and one factor per distinct implicit substep size.
+/// The guarded state: one symbolic analysis, the steady-state factor
+/// of `G`, and one factor per distinct implicit substep size.
 #[derive(Debug, Default)]
 pub(crate) struct ShareState {
     pub(crate) symbolic: Option<Arc<Symbolic>>,
-    pub(crate) plan: Option<Arc<SupernodalPlan>>,
     pub(crate) steady: Option<Arc<LdlFactor>>,
     /// `(h_bits, factor)` per distinct substep size, insertion order.
     pub(crate) steps: Vec<(u64, Arc<LdlFactor>)>,

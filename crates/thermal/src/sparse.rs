@@ -11,7 +11,6 @@
 //! transient integrator leans on.
 
 pub mod factor;
-pub mod level;
 
 use std::fmt;
 

@@ -40,19 +40,6 @@ use std::fmt;
 
 use super::CsrMatrix;
 
-/// Matrix dimension at which the blocked/supernodal numeric phase and
-/// the level-set parallel solves take over from the scalar reference
-/// path. Below the threshold the scalar up-looking factorization runs
-/// unchanged, keeping every existing grid bit-for-bit identical to the
-/// pre-blocked implementation; at and above it (64×64-per-layer
-/// networks and larger) the dense-panel path wins on cache behaviour
-/// and the solve parallelism pays for its barriers.
-pub const BLOCKED_MIN_DIM: usize = 2048;
-
-/// Width cap on detected supernodes: bounds the dense-panel working set
-/// so a panel (width × panel-height doubles) stays cache-resident.
-const SUPERNODE_MAX_WIDTH: usize = 32;
-
 /// Node-elimination order used by the symbolic analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FillOrdering {
@@ -128,27 +115,6 @@ impl LdlFactor {
     #[must_use]
     pub fn permutation(&self) -> &[usize] {
         &self.perm
-    }
-
-    /// Column pointers of L's strictly-lower part (for the level-set
-    /// solve scheduler).
-    pub(crate) fn l_col_ptr(&self) -> &[usize] {
-        &self.col_ptr
-    }
-
-    /// Row indices of L's stored entries.
-    pub(crate) fn l_row_idx(&self) -> &[usize] {
-        &self.row_idx
-    }
-
-    /// Values of L's stored entries.
-    pub(crate) fn l_values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The pivot diagonal D.
-    pub(crate) fn pivots(&self) -> &[f64] {
-        &self.d
     }
 
     /// Solves `A·x = b`, allocating the result.
@@ -337,316 +303,6 @@ impl Symbolic {
             "matrix pattern differs from the analyzed pattern (symbolic/numeric fill mismatch)"
         );
         Ok(LdlFactor { n, perm: perm.clone(), col_ptr: col_ptr.clone(), row_idx, values, d })
-    }
-
-    /// Builds the supernodal execution plan for the blocked numeric
-    /// phase: the full row-index structure of `L` (identical to what
-    /// the scalar phase produces) plus the fundamental-supernode
-    /// partition derived from the elimination tree. Value-independent,
-    /// like the analysis itself — compute once per pattern and reuse
-    /// across every shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a`'s dimension or stored-entry count differ from the
-    /// analyzed matrix's.
-    #[must_use]
-    pub fn supernodal_plan(&self, a: &CsrMatrix) -> SupernodalPlan {
-        let n = self.n;
-        assert_eq!(a.dim(), n, "supernodal plan on a different-sized matrix");
-        assert_eq!(a.nnz(), self.nnz, "supernodal plan on a different sparsity pattern");
-        let Symbolic { perm, iperm, parent, col_ptr, .. } = self;
-
-        // Replay the numeric phase's pattern walk, recording only the
-        // row indices: the resulting structure is byte-identical to the
-        // scalar phase's `row_idx` (rows appended to each column as `j`
-        // ascends, so columns are sorted ascending).
-        let total = col_ptr[n];
-        let mut row_idx = vec![0usize; total];
-        let mut filled = vec![0usize; n];
-        let mut pattern = vec![0usize; n];
-        let mut path = vec![0usize; n];
-        let mut flag = vec![usize::MAX; n];
-        for j in 0..n {
-            let mut top = n;
-            flag[j] = j;
-            for (c_old, _) in a.row(perm[j]) {
-                let i = iperm[c_old];
-                if i > j {
-                    continue;
-                }
-                let mut len = 0;
-                let mut k = i;
-                while flag[k] != j {
-                    path[len] = k;
-                    len += 1;
-                    flag[k] = j;
-                    k = parent[k];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    pattern[top] = path[len];
-                }
-            }
-            for &k in &pattern[top..n] {
-                let p = col_ptr[k] + filled[k];
-                row_idx[p] = j;
-                filled[k] += 1;
-            }
-        }
-        assert!(
-            (0..n).all(|j| filled[j] == col_ptr[j + 1] - col_ptr[j]),
-            "matrix pattern differs from the analyzed pattern (symbolic/numeric fill mismatch)"
-        );
-
-        // Fundamental supernodes: column j joins its predecessor's
-        // supernode when j is the etree parent of j-1 and column j-1's
-        // pattern is exactly {j} ∪ pattern(j) — equivalently the fill
-        // counts differ by one. A width cap keeps panels cache-sized.
-        let lnz = |j: usize| col_ptr[j + 1] - col_ptr[j];
-        let mut sn_ptr = vec![0usize];
-        let mut start = 0usize;
-        for j in 1..n {
-            let join =
-                parent[j - 1] == j && lnz(j - 1) == lnz(j) + 1 && j - start < SUPERNODE_MAX_WIDTH;
-            if !join {
-                sn_ptr.push(j);
-                start = j;
-            }
-        }
-        if n > 0 {
-            sn_ptr.push(n);
-        }
-        let mut sn_of = vec![0usize; n];
-        let mut max_panel_rows = 0usize;
-        let mut max_width = 0usize;
-        for s in 0..sn_ptr.len() - 1 {
-            let (f, l) = (sn_ptr[s], sn_ptr[s + 1]);
-            for of in &mut sn_of[f..l] {
-                *of = s;
-            }
-            let w = l - f;
-            max_width = max_width.max(w);
-            max_panel_rows = max_panel_rows.max(w + lnz(l - 1));
-        }
-        SupernodalPlan { n, nnz: self.nnz, sn_ptr, sn_of, row_idx, max_panel_rows, max_width }
-    }
-
-    /// Blocked (supernodal left-looking) numeric phase: same inputs and
-    /// outputs as [`factor_numeric`](Self::factor_numeric), but columns
-    /// are processed in dense panels with panel-panel updates. The
-    /// factor's *structure* (permutation, column pointers, row indices)
-    /// is exactly the scalar phase's; the *values* agree to rounding
-    /// (the dense accumulation order differs), which is why the scalar
-    /// path stays the golden reference below [`BLOCKED_MIN_DIM`]. The
-    /// blocked phase itself is sequential and deterministic: repeated
-    /// calls on one matrix are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// [`FactorError`] when a pivot is not strictly positive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `plan` do not match this analysis.
-    pub fn factor_numeric_blocked(
-        &self,
-        a: &CsrMatrix,
-        plan: &SupernodalPlan,
-    ) -> Result<LdlFactor, FactorError> {
-        let n = self.n;
-        assert_eq!(a.dim(), n, "numeric phase on a different-sized matrix");
-        assert_eq!(a.nnz(), self.nnz, "numeric phase on a different sparsity pattern");
-        assert!(
-            plan.n == n && plan.nnz == self.nnz,
-            "supernodal plan was built for a different pattern"
-        );
-        let Symbolic { perm, iperm, col_ptr, .. } = self;
-        let row_idx = &plan.row_idx;
-        let num_sn = plan.sn_ptr.len().saturating_sub(1);
-
-        let mut values = vec![0.0f64; col_ptr[n]];
-        let mut d = vec![0.0f64; n];
-        // Dense panel (column-major, height = supernode width + shared
-        // below-block row count) plus the global-row → panel-slot map.
-        let mut panel = vec![0.0f64; plan.max_panel_rows * plan.max_width];
-        let mut local = vec![0usize; n];
-        let mut stamp = vec![usize::MAX; n];
-        // Left-looking source lists: after a supernode is finished it is
-        // linked into the list of the supernode owning its next unused
-        // below-block row, so each target traverses exactly the sources
-        // that update it.
-        let mut head = vec![usize::MAX; num_sn];
-        let mut next_src = vec![usize::MAX; num_sn];
-        let mut pos = vec![0usize; num_sn];
-
-        for s in 0..num_sn {
-            let f = plan.sn_ptr[s];
-            let l = plan.sn_ptr[s + 1];
-            let w = l - f;
-            // Shared below-block rows of this supernode = the row list
-            // of its last column (every member column ends with them).
-            let r0 = col_ptr[l - 1];
-            let nr = col_ptr[l] - r0;
-            let height = w + nr;
-
-            // Panel rows are the supernode's own columns then the
-            // below-block rows, both ascending — exactly each member
-            // column's storage order, so write-back is a contiguous copy.
-            for (slot, j) in (f..l).enumerate() {
-                local[j] = slot;
-                stamp[j] = s;
-            }
-            for idx in 0..nr {
-                let i = row_idx[r0 + idx];
-                local[i] = w + idx;
-                stamp[i] = s;
-            }
-            for v in &mut panel[..height * w] {
-                *v = 0.0;
-            }
-
-            // Scatter A's lower-triangle columns into the panel.
-            for (jc, j) in (f..l).enumerate() {
-                let base = jc * height;
-                for (c_old, v) in a.row(perm[j]) {
-                    let i = iperm[c_old];
-                    if i < j {
-                        continue;
-                    }
-                    debug_assert_eq!(stamp[i], s, "A entry outside the symbolic pattern");
-                    panel[base + local[i]] += v;
-                }
-            }
-
-            // Apply every finished source supernode whose next unused
-            // rows land in this one. For source T with below-block rows
-            // RT, the rows RT[pos..stop) are columns of this supernode;
-            // the update to target column j uses the contiguous value
-            // slice of each source column below T's diagonal block.
-            let mut t = head[s];
-            while t != usize::MAX {
-                let t_next = next_src[t];
-                let ft = plan.sn_ptr[t];
-                let lt = plan.sn_ptr[t + 1];
-                let tr0 = col_ptr[lt - 1];
-                let tlen = col_ptr[lt] - tr0;
-                let start = pos[t];
-                let mut stop = start;
-                while stop < tlen && row_idx[tr0 + stop] < l {
-                    stop += 1;
-                }
-                for idx_j in start..stop {
-                    let j = row_idx[tr0 + idx_j];
-                    debug_assert!((f..l).contains(&j));
-                    let base = (j - f) * height;
-                    for k in ft..lt {
-                        // Column k of T stores rows {k+1..lt} then RT;
-                        // its below-block values start at lt-1-k.
-                        let off = col_ptr[k] + (lt - 1 - k);
-                        let ljk = values[off + idx_j];
-                        let coef = d[k] * ljk;
-                        for idx_i in idx_j..tlen {
-                            let i = row_idx[tr0 + idx_i];
-                            debug_assert_eq!(stamp[i], s, "update row outside the target panel");
-                            panel[base + local[i]] -= coef * values[off + idx_i];
-                        }
-                    }
-                }
-                pos[t] = stop;
-                if stop < tlen {
-                    let owner = plan.sn_of[row_idx[tr0 + stop]];
-                    next_src[t] = head[owner];
-                    head[owner] = t;
-                }
-                t = t_next;
-            }
-
-            // Dense LDLᵀ of the panel's diagonal block, updating the
-            // below-block rows as we go (contiguous column axpys).
-            for jc in 0..w {
-                let base = jc * height;
-                let j = f + jc;
-                let dj = panel[base + jc];
-                if !(dj > 0.0 && dj.is_finite()) {
-                    return Err(FactorError { row: j, pivot: dj });
-                }
-                d[j] = dj;
-                for i in jc + 1..height {
-                    panel[base + i] /= dj;
-                }
-                for kc in jc + 1..w {
-                    let coef = dj * panel[base + kc];
-                    let kbase = kc * height;
-                    for i in kc..height {
-                        panel[kbase + i] -= coef * panel[base + i];
-                    }
-                }
-            }
-
-            // Write-back: panel rows below each diagonal are exactly the
-            // member column's stored rows, in order.
-            for (jc, j) in (f..l).enumerate() {
-                let base = jc * height;
-                let p0 = col_ptr[j];
-                debug_assert_eq!(col_ptr[j + 1] - p0, height - 1 - jc);
-                values[p0..p0 + height - 1 - jc]
-                    .copy_from_slice(&panel[base + jc + 1..base + height]);
-            }
-
-            if nr > 0 {
-                pos[s] = 0;
-                let owner = plan.sn_of[row_idx[r0]];
-                next_src[s] = head[owner];
-                head[owner] = s;
-            }
-        }
-
-        Ok(LdlFactor {
-            n,
-            perm: perm.clone(),
-            col_ptr: col_ptr.clone(),
-            row_idx: plan.row_idx.clone(),
-            values,
-            d,
-        })
-    }
-}
-
-/// Value-independent execution plan for
-/// [`Symbolic::factor_numeric_blocked`]: the fundamental-supernode
-/// partition of the columns of `L` plus the full row-index structure
-/// (which the scalar phase recomputes per factorization but the
-/// blocked phase shares across all shifts of one pattern).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupernodalPlan {
-    n: usize,
-    /// Stored-entry count of the analyzed matrix (pattern guard).
-    nnz: usize,
-    /// Supernode `s` covers columns `sn_ptr[s]..sn_ptr[s+1]`.
-    sn_ptr: Vec<usize>,
-    /// Column → owning supernode.
-    sn_of: Vec<usize>,
-    /// Full row indices of `L`, identical to the scalar numeric output.
-    row_idx: Vec<usize>,
-    /// Largest panel height (width + shared below-block rows).
-    max_panel_rows: usize,
-    /// Largest supernode width (≤ the internal width cap).
-    max_width: usize,
-}
-
-impl SupernodalPlan {
-    /// Number of supernodes the columns were grouped into.
-    #[must_use]
-    pub fn supernode_count(&self) -> usize {
-        self.sn_ptr.len().saturating_sub(1)
-    }
-
-    /// Widest detected supernode (1 means no blocking was possible).
-    #[must_use]
-    pub fn max_width(&self) -> usize {
-        self.max_width
     }
 }
 
@@ -932,77 +588,6 @@ mod tests {
         let symbolic = analyze(&grid_laplacian(4, 4));
         let other = laplacian_chain(16, 1.0, 1.0);
         let _ = symbolic.factor_numeric(&other);
-    }
-
-    /// Relative agreement for blocked-vs-scalar values: the two phases
-    /// sum identical update terms in different orders, so they agree to
-    /// rounding, not bit-for-bit.
-    fn assert_close(a: &[f64], b: &[f64], what: &str) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            assert!((x - y).abs() <= 1e-11 * scale, "{what}[{i}]: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn blocked_factor_matches_scalar_structure_exactly_and_values_tightly() {
-        let a = grid_laplacian(20, 20);
-        let symbolic = analyze(&a);
-        let plan = symbolic.supernodal_plan(&a);
-        assert!(plan.max_width() > 1, "a 20x20 grid must yield real supernodes");
-        assert!(plan.supernode_count() < a.dim(), "blocking must group columns");
-        let blocked = symbolic.factor_numeric_blocked(&a, &plan).unwrap();
-        let scalar = symbolic.factor_numeric(&a).unwrap();
-        // Structure is exact: same permutation, column pointers, rows.
-        assert_eq!(blocked.perm, scalar.perm);
-        assert_eq!(blocked.col_ptr, scalar.col_ptr);
-        assert_eq!(blocked.row_idx, scalar.row_idx);
-        assert_close(&blocked.values, &scalar.values, "L");
-        assert_close(&blocked.d, &scalar.d, "D");
-        // And the solves agree to solver precision.
-        let b: Vec<f64> = (0..a.dim()).map(|i| ((i * 13) % 17) as f64 * 0.5 - 2.0).collect();
-        assert_close(&blocked.solve(&b), &scalar.solve(&b), "x");
-    }
-
-    #[test]
-    fn blocked_plan_serves_all_shifts_of_one_pattern() {
-        let g = grid_laplacian(9, 11);
-        let symbolic = analyze(&g);
-        let plan = symbolic.supernodal_plan(&g);
-        for alpha in [0.25, 7.5, 513.0] {
-            let diag: Vec<f64> = (0..g.dim()).map(|i| alpha * (1.0 + i as f64 * 0.02)).collect();
-            let shifted = g.with_added_diagonal(&diag);
-            let blocked = symbolic.factor_numeric_blocked(&shifted, &plan).unwrap();
-            let scalar = symbolic.factor_numeric(&shifted).unwrap();
-            assert_eq!(blocked.row_idx, scalar.row_idx, "alpha={alpha}");
-            assert_close(&blocked.values, &scalar.values, "L");
-            assert_close(&blocked.d, &scalar.d, "D");
-        }
-    }
-
-    #[test]
-    fn blocked_factor_is_deterministic() {
-        let a = grid_laplacian(14, 6);
-        let symbolic = analyze(&a);
-        let plan = symbolic.supernodal_plan(&a);
-        let f1 = symbolic.factor_numeric_blocked(&a, &plan).unwrap();
-        let f2 = symbolic.factor_numeric_blocked(&a, &plan).unwrap();
-        assert_eq!(f1, f2, "same matrix and plan, bit-identical factors");
-    }
-
-    #[test]
-    fn blocked_factor_rejects_indefinite_matrices() {
-        // Floating Laplacian: singular, the last pivot collapses.
-        let mut t = TripletMatrix::new(4);
-        for i in 0..3 {
-            t.add_conductance(i, i + 1, 1.0);
-        }
-        let a = t.to_csr();
-        let symbolic = analyze(&a);
-        let plan = symbolic.supernodal_plan(&a);
-        let err = symbolic.factor_numeric_blocked(&a, &plan).unwrap_err();
-        assert!(err.to_string().contains("not positive definite"), "{err}");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use std::time::Instant;
 
 use therm3d_floorplan::{Experiment, Stack3d};
+use therm3d_thermal::sparse::factor::factor;
 use therm3d_thermal::{Integrator, ThermalConfig, ThermalModel};
 
 /// Trajectory agreement tolerance between the two integrators, °C.
@@ -202,5 +203,32 @@ fn both_integrators_relax_to_the_same_steady_state() {
                 "{integ}: rise {rise_now:.3} vs steady rise {rise_steady:.3}"
             );
         }
+    }
+}
+
+#[test]
+fn large_grid_steady_state_matches_the_minimum_degree_factor() {
+    // 32×32 on the two-die stack is the smallest paper grid past the
+    // 2 048-node switch, so the model orders its system by nested
+    // dissection; an independent minimum-degree factorization of the
+    // same conductance matrix must reach the same steady state.
+    let (stack, mut model) = model(Experiment::Exp2, 32, Integrator::ImplicitCn);
+    let p = core_powers(&stack, 3.0);
+    let net = model.network();
+    assert_eq!(net.node_count(), 2050, "EXP-2 at 32x32: 2 x 32 x 32 cells + spreader + sink");
+    let rhs: Vec<f64> = net
+        .node_power(&p)
+        .iter()
+        .zip(net.ambient_conductance())
+        .map(|(&w, &g)| w + g * net.ambient_k())
+        .collect();
+    let reference = factor(net.conductance()).expect("G is SPD").solve(&rhs);
+
+    model.initialize_steady_state(&p);
+    for (i, (got, want)) in model.node_temperatures_k().iter().zip(&reference).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-9 * want.abs(),
+            "node {i}: nested dissection {got} K vs minimum degree {want} K"
+        );
     }
 }

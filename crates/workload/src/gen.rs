@@ -12,10 +12,11 @@
 //! here.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::benchmark::Benchmark;
-use crate::job::{Job, JobTrace};
+use crate::job::JobTrace;
+use crate::source::{stream_mix, JobSource};
 
 /// Configuration for synthetic trace generation.
 ///
@@ -119,77 +120,25 @@ impl TraceConfig {
         ((self.n_cores as f64 * self.threads_per_core).round() as usize).max(1)
     }
 
-    /// A lazy, arrival-ordered stream of the exact jobs
-    /// [`generate`](Self::generate) would materialize — same RNG
-    /// consumption order, bit-identical jobs — at O(1) memory in the
-    /// trace duration. See [`TraceStream`](crate::source::TraceStream).
+    /// A lazy, arrival-ordered stream of this configuration's jobs at
+    /// O(1) memory in the trace duration. See
+    /// [`TraceStream`](crate::source::TraceStream).
     #[must_use]
     pub fn stream(&self) -> crate::source::TraceStream {
         crate::source::TraceStream::new(self)
     }
 
-    /// Generates the job trace.
+    /// Generates the job trace: every job of [`stream`](Self::stream),
+    /// materialized.
     #[must_use]
     pub fn generate(&self) -> JobTrace {
-        self.generate_with_sampler(&ZipfSampler::new(self.n_threads(), self.zipf_s))
-    }
-
-    /// [`generate`](Self::generate) against a caller-provided thread
-    /// sampler (which must match [`n_threads`](Self::n_threads) and
-    /// `zipf_s`), so batch generators amortize the CDF build across
-    /// traces instead of rebuilding it per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` was built for a different population size.
-    #[must_use]
-    pub fn generate_with_sampler(&self, threads: &ZipfSampler) -> JobTrace {
-        assert_eq!(threads.len(), self.n_threads(), "sampler population mismatch");
-        let stats = self.benchmark.stats();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ hash_benchmark(self.benchmark));
-        // Offered load = λ · E[S] = U · N  ⇒  λ = U·N / E[S].
-        let base_rate = stats.avg_utilization * self.n_cores as f64 / self.mean_job_s;
-        let mu = self.mean_job_s.ln() - self.job_sigma * self.job_sigma / 2.0;
-        let mem = stats.memory_intensity();
-
-        let mut jobs = Vec::new();
-        let mut t = 0.0;
-        let mut id = 0u64;
-        let mut phase_high = rng.gen_bool(0.5);
-        let mut phase_end = sample_exp(&mut rng, 1.0 / self.phase_mean_s);
-        loop {
-            let rate = if phase_high {
-                base_rate * (1.0 + self.burstiness)
-            } else {
-                base_rate * (1.0 - self.burstiness)
-            };
-            // With a (near-)zero rate, skip straight to the next phase.
-            let dt = if rate > 1e-12 { sample_exp(&mut rng, rate) } else { f64::INFINITY };
-            if t + dt > phase_end {
-                t = phase_end;
-                if t >= self.duration_s {
-                    break;
-                }
-                phase_high = !phase_high;
-                phase_end = t + sample_exp(&mut rng, 1.0 / self.phase_mean_s);
-                continue;
-            }
-            t += dt;
-            if t >= self.duration_s {
-                break;
-            }
-            let work = sample_lognormal(&mut rng, mu, self.job_sigma).clamp(0.005, 30.0);
-            let mem_jitter = (mem + rng.gen_range(-0.05..0.05)).clamp(0.0, 1.0);
-            let thread = threads.sample(&mut rng) as u64;
-            jobs.push(Job::new(id, t, work, mem_jitter, self.benchmark).with_thread(thread));
-            id += 1;
-        }
-        JobTrace::new(jobs)
+        collect(self.stream())
     }
 }
 
 /// Generates a trace interleaving several benchmarks with equal shares of
-/// the duration (a consolidated-server scenario for the examples).
+/// the duration (a consolidated-server scenario for the examples): every
+/// job of [`stream_mix`], materialized.
 ///
 /// # Panics
 ///
@@ -201,39 +150,18 @@ pub fn generate_mix(
     duration_s: f64,
     seed: u64,
 ) -> JobTrace {
-    assert!(!benchmarks.is_empty(), "need at least one benchmark");
-    let slot = duration_s / benchmarks.len() as f64;
-    let mut all = Vec::new();
-    let mut next_id = 0u64;
-    // Every slot shares the same thread population (n_cores and the Zipf
-    // shape are slot-independent), so build the sampler once.
-    let first = TraceConfig::new(benchmarks[0], n_cores, slot);
-    let threads = ZipfSampler::new(first.n_threads(), first.zipf_s);
-    for (i, &b) in benchmarks.iter().enumerate() {
-        let sub = TraceConfig::new(b, n_cores, slot).with_seed(seed.wrapping_add(i as u64));
-        for j in sub.generate_with_sampler(&threads).jobs() {
-            all.push(
-                Job::new(
-                    next_id,
-                    j.arrival_s + i as f64 * slot,
-                    j.work_s,
-                    j.memory_intensity,
-                    j.benchmark,
-                )
-                // Keep per-benchmark thread populations disjoint.
-                .with_thread(j.thread_id + ((i as u64) << 32)),
-            );
-            next_id += 1;
-        }
-    }
-    JobTrace::new(all)
+    collect(stream_mix(benchmarks, n_cores, duration_s, seed))
+}
+
+fn collect(mut source: impl JobSource) -> JobTrace {
+    JobTrace::new(std::iter::from_fn(|| source.next_job()).collect())
 }
 
 /// Inverse-transform sampler over a Zipf thread-popularity law.
 ///
 /// The CDF is built once and reused across every draw — and, via
-/// [`TraceConfig::generate_with_sampler`] or the streaming sources,
-/// across whole traces — instead of being rebuilt per `generate` call.
+/// [`MixStream`](crate::source::MixStream), across the benchmark slots
+/// of a mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
@@ -416,20 +344,6 @@ mod tests {
             assert!(w[1] > w[0]);
         }
         assert!(cdf[0] > 0.2, "head item carries Zipf mass");
-    }
-
-    #[test]
-    fn shared_sampler_matches_per_call_generation() {
-        let cfg = TraceConfig::new(Benchmark::Database, 8, 30.0).with_seed(5);
-        let threads = ZipfSampler::new(cfg.n_threads(), cfg.zipf_s);
-        assert_eq!(cfg.generate_with_sampler(&threads), cfg.generate());
-    }
-
-    #[test]
-    #[should_panic(expected = "sampler population mismatch")]
-    fn wrong_sampler_population_rejected() {
-        let cfg = TraceConfig::new(Benchmark::Database, 8, 30.0);
-        let _ = cfg.generate_with_sampler(&ZipfSampler::new(3, cfg.zipf_s));
     }
 
     #[test]

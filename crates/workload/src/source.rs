@@ -1,16 +1,15 @@
 //! Streaming job sources: lazy, seeded generators that yield
 //! arrival-ordered jobs on demand at O(1) memory in the trace duration.
 //!
-//! [`TraceStream`] is an exact state-machine port of
-//! [`TraceConfig::generate`]: it consumes the RNG in the same order and
-//! therefore emits *bit-identical* jobs, one per call, without ever
-//! holding the trace. [`MixStream`] does the same for
-//! [`generate_mix`](crate::gen::generate_mix), moving a single
-//! [`ZipfSampler`] between benchmark slots instead of rebuilding the
-//! CDF per slot. A materialized [`JobTrace`](crate::job::JobTrace) joins
-//! in through its cursor, which implements the same [`JobSource`] trait
-//! — so week-long simulations stream while tests and short runs keep
-//! materializing, over one consumer API.
+//! [`TraceStream`] is the trace generator itself: a state machine over
+//! the modulated-Poisson arrival walk that emits one job per call
+//! without ever holding the trace. [`MixStream`] chains one stream per
+//! benchmark slot, moving a single [`ZipfSampler`] between slots
+//! instead of rebuilding the CDF per slot.
+//! [`TraceConfig::generate`] and [`generate_mix`](crate::gen::generate_mix)
+//! are collects over these streams. A materialized
+//! [`JobTrace`](crate::job::JobTrace) joins in through its cursor, which
+//! implements the same [`JobSource`] trait.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,8 +112,8 @@ impl<S: JobSource> SourceCursor<S> {
     }
 }
 
-/// Lazy equivalent of [`TraceConfig::generate`]: the modulated-Poisson
-/// arrival walk carried as stream state, one job materialized per
+/// The synthetic trace generator: the modulated-Poisson arrival walk
+/// carried as stream state, one job materialized per
 /// [`next_job`](JobSource::next_job) call.
 ///
 /// # Examples
@@ -124,8 +123,11 @@ impl<S: JobSource> SourceCursor<S> {
 ///
 /// let cfg = TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(7);
 /// let mut stream = cfg.stream();
-/// let streamed: Vec<_> = std::iter::from_fn(|| stream.next_job()).collect();
-/// assert_eq!(streamed, cfg.generate().jobs());
+/// let mut last = 0.0;
+/// while let Some(job) = stream.next_job() {
+///     assert!(job.arrival_s >= last && job.arrival_s < 30.0);
+///     last = job.arrival_s;
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceStream {
@@ -231,11 +233,10 @@ impl JobSource for TraceStream {
     // lint: end-region
 }
 
-/// Lazy equivalent of [`generate_mix`](crate::gen::generate_mix):
-/// benchmarks chained over equal duration slots, jobs re-timed and
-/// re-numbered exactly as the materialized path does, with the Zipf
-/// sampler handed from slot to slot (every slot shares the same thread
-/// population).
+/// Benchmarks chained over equal duration slots: each slot's jobs are
+/// shifted to the slot's start and re-numbered across the mix, with the
+/// Zipf sampler handed from slot to slot (every slot shares the same
+/// thread population).
 #[derive(Debug, Clone)]
 pub struct MixStream {
     benchmarks: Vec<Benchmark>,
@@ -248,8 +249,8 @@ pub struct MixStream {
 }
 
 impl MixStream {
-    /// Builds the stream; parameters mirror
-    /// [`generate_mix`](crate::gen::generate_mix).
+    /// Builds the stream over `benchmarks`, each given an equal share
+    /// of `duration_s`; slot `i` is seeded with `seed + i`.
     ///
     /// # Panics
     ///
@@ -304,9 +305,9 @@ impl JobSource for MixStream {
     // lint: end-region
 }
 
-/// A [`MixStream`] over the same parameters as
-/// [`generate_mix`](crate::gen::generate_mix), yielding bit-identical
-/// jobs without materializing them.
+/// A [`MixStream`] over `benchmarks` (see [`MixStream::new`]);
+/// [`generate_mix`](crate::gen::generate_mix) materializes the same
+/// jobs.
 ///
 /// # Panics
 ///
@@ -324,20 +325,9 @@ pub fn stream_mix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::generate_mix;
 
     fn drain(mut s: impl JobSource) -> Vec<Job> {
         std::iter::from_fn(|| s.next_job()).collect()
-    }
-
-    #[test]
-    fn stream_matches_generate_bit_for_bit() {
-        for b in [Benchmark::WebMed, Benchmark::Gzip, Benchmark::Database] {
-            for seed in [1u64, 42, 0xDEAD_BEEF] {
-                let cfg = TraceConfig::new(b, 8, 45.0).with_seed(seed);
-                assert_eq!(drain(cfg.stream()), cfg.generate().jobs(), "{b} seed {seed}");
-            }
-        }
     }
 
     #[test]
@@ -350,17 +340,23 @@ mod tests {
     }
 
     #[test]
-    fn mix_stream_matches_generate_mix_bit_for_bit() {
-        let benches = [Benchmark::Gzip, Benchmark::WebHigh, Benchmark::Database];
-        let streamed = drain(stream_mix(&benches, 8, 60.0, 3));
-        assert_eq!(streamed, generate_mix(&benches, 8, 60.0, 3).jobs());
+    fn single_benchmark_mix_is_the_plain_trace() {
+        // A one-slot mix re-times by zero and re-numbers from zero, so
+        // it yields the plain stream's jobs bit for bit.
+        for b in [Benchmark::WebMed, Benchmark::Gzip, Benchmark::Database] {
+            for seed in [1u64, 2009, 0xDEAD_BEEF] {
+                let plain = TraceConfig::new(b, 16, 30.0).with_seed(seed).stream();
+                assert_eq!(drain(stream_mix(&[b], 16, 30.0, seed)), drain(plain), "{b} {seed}");
+            }
+        }
     }
 
     #[test]
-    fn single_benchmark_mix_matches_too() {
-        let benches = [Benchmark::WebMed];
-        let streamed = drain(stream_mix(&benches, 16, 30.0, 2009));
-        assert_eq!(streamed, generate_mix(&benches, 16, 30.0, 2009).jobs());
+    #[should_panic(expected = "sampler population mismatch")]
+    fn wrong_sampler_population_rejected() {
+        let cfg = TraceConfig::new(Benchmark::Database, 8, 30.0);
+        let zipf_s = cfg.zipf_s;
+        let _ = TraceStream::with_sampler(cfg, ZipfSampler::new(3, zipf_s));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for the streaming trace path: for *any* trace
 //! configuration, lazily draining a [`JobSource`] must yield exactly the
 //! jobs that `generate()` materializes — same count, same order, same
-//! bits. The stream is a state-machine port of the generator, so this is
-//! an equality claim, not an approximation.
+//! bits. `generate()` collects the same stream and then sorts it by
+//! arrival (`JobTrace::new`), so equality proves the stream already
+//! arrives in order — the contract the engine's one-job lookahead
+//! relies on.
 
 use proptest::prelude::*;
 
