@@ -236,14 +236,18 @@ impl Simulator {
 
         // Persistent per-tick buffers: the loop below runs ten times per
         // simulated second for minutes of simulated time, so the hot
-        // path reuses these instead of allocating each tick.
+        // path reuses these instead of allocating each tick. The block
+        // temperatures are read once here and then once per tick, after
+        // the step: that buffer becomes the next tick's pre-step one.
         let mut temps_c: Vec<f64> = Vec::new();
+        self.thermal.block_temperatures_c_into(&mut temps_c);
         let mut core_true: Vec<f64> = Vec::with_capacity(n_cores);
         let mut core_temps: Vec<f64> = Vec::with_capacity(n_cores);
         let mut commands: Vec<therm3d_policies::CoreCommand> = Vec::with_capacity(n_cores);
         let mut queue_len: Vec<usize> = Vec::with_capacity(n_cores);
         let mut queued_work: Vec<f64> = Vec::with_capacity(n_cores);
         let mut inputs: Vec<CorePowerInput> = Vec::with_capacity(n_cores);
+        let mut powers: Vec<f64> = Vec::new();
         let mut temps_after: Vec<f64> = Vec::new();
         let mut core_after: Vec<f64> = Vec::with_capacity(n_cores);
         let mut vf_index: Vec<usize> = Vec::with_capacity(n_cores);
@@ -260,7 +264,6 @@ impl Simulator {
             let _tick_span = Span::enter("engine.tick_us");
             // 1. Sensor readings + scheduler statistics for the policy.
             // The policy sees *sensor* readings; metrics use true temps.
-            self.thermal.block_temperatures_c_into(&mut temps_c);
             core_true.clear();
             core_true.extend(self.core_sites.iter().map(|&s| temps_c[s]));
             self.sensor.read_into(&core_true, &mut core_temps);
@@ -358,8 +361,9 @@ impl Simulator {
 
             // 7. Power with leakage feedback at current temperatures, then
             // advance the thermal solution.
-            let powers = self.power.block_powers(&inputs, &temps_c);
-            energy.add(powers.iter().sum(), tick);
+            self.power.block_powers_into(&inputs, &temps_c, &mut powers);
+            let chip_power_w: f64 = powers.iter().sum();
+            energy.add(chip_power_w, tick);
             self.thermal.set_block_powers(&powers);
             self.thermal.step(tick);
 
@@ -383,11 +387,12 @@ impl Simulator {
                 block_temps_c: &temps_after,
                 layer_of_block: &self.layer_of_block,
                 utilization: &self.utilization,
-                chip_power_w: powers.iter().sum(),
+                chip_power_w,
                 vf_index: &vf_index,
                 asleep: &asleep,
             });
 
+            std::mem::swap(&mut temps_c, &mut temps_after);
             self.now_s += tick;
         }
         // lint: end-region

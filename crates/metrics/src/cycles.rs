@@ -87,8 +87,7 @@ impl ThermalCycleTracker {
             }
             h.push_back(t);
             if h.len() == self.window {
-                let lo = h.iter().copied().fold(f64::INFINITY, f64::min);
-                let hi = h.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let (lo, hi) = window_extrema(h);
                 let delta = hi - lo;
                 self.total += 1;
                 self.sum_delta += delta;
@@ -136,9 +135,67 @@ impl ThermalCycleTracker {
     }
 }
 
+/// The minimum and maximum of a window in one pass, each folded over
+/// four independent lanes by compare-and-select, which compiles to
+/// packed min/max instructions (`f64::min` does not). For samples that
+/// are neither NaN nor signed zeros, min and max do not depend on
+/// order, so this equals two serial `f64::min`/`f64::max` folds bit for
+/// bit; a NaN sample is skipped by both.
+fn window_extrema(window: &VecDeque<f64>) -> (f64, f64) {
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let (front, back) = window.as_slices();
+    for part in [front, back] {
+        let chunks = part.chunks_exact(4);
+        for &t in chunks.remainder() {
+            lo[0] = if t < lo[0] { t } else { lo[0] };
+            hi[0] = if t > hi[0] { t } else { hi[0] };
+        }
+        for chunk in chunks {
+            for k in 0..4 {
+                lo[k] = if chunk[k] < lo[k] { chunk[k] } else { lo[k] };
+                hi[k] = if chunk[k] > hi[k] { chunk[k] } else { hi[k] };
+            }
+        }
+    }
+    (lo.into_iter().fold(f64::INFINITY, f64::min), hi.into_iter().fold(f64::NEG_INFINITY, f64::max))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_pass_extrema_match_two_folds_on_wrapped_windows() {
+        // xorshift64: random temperatures in [40, 100) °C.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut sample = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            40.0 + (state >> 11) as f64 / (1u64 << 53) as f64 * 60.0
+        };
+        for window in [1, 2, 3, 4, 5, 7, 8, 9, 16, 100] {
+            let mut h = VecDeque::with_capacity(window);
+            let mut wrapped = false;
+            for step in 0..10 * window + 10 {
+                if h.len() == window {
+                    h.pop_front();
+                }
+                h.push_back(sample());
+                wrapped |= !h.as_slices().1.is_empty();
+                let lo = h.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = h.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let (l, u) = window_extrema(&h);
+                assert_eq!(
+                    (l.to_bits(), u.to_bits()),
+                    (lo.to_bits(), hi.to_bits()),
+                    "window {window}, step {step}"
+                );
+            }
+            assert!(wrapped || window == 1, "window {window} never wrapped around");
+        }
+    }
 
     #[test]
     fn constant_temperature_never_cycles() {

@@ -27,18 +27,21 @@
 pub fn max_layer_gradient(temps_c: &[f64], layer_of_block: &[usize]) -> f64 {
     assert_eq!(temps_c.len(), layer_of_block.len(), "one layer id per temperature");
     let n_layers = layer_of_block.iter().copied().max().map_or(0, |m| m + 1);
-    let mut min = vec![f64::INFINITY; n_layers];
-    let mut max = vec![f64::NEG_INFINITY; n_layers];
-    for (&t, &l) in temps_c.iter().zip(layer_of_block) {
-        if t < min[l] {
-            min[l] = t;
-        }
-        if t > max[l] {
-            max[l] = t;
-        }
-    }
-    min.iter()
-        .zip(&max)
+    // One pass per layer: a stack has a handful of layers, and this
+    // runs every tick, so it allocates nothing.
+    (0..n_layers)
+        .map(|layer| {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (&t, _) in temps_c.iter().zip(layer_of_block).filter(|(_, &l)| l == layer) {
+                if t < lo {
+                    lo = t;
+                }
+                if t > hi {
+                    hi = t;
+                }
+            }
+            (lo, hi)
+        })
         .filter(|(lo, _)| lo.is_finite())
         .map(|(lo, hi)| hi - lo)
         .fold(0.0, f64::max)

@@ -197,6 +197,19 @@ impl PowerModel {
     /// is outside `[0, 1]`, or a `vf_index` is out of table range.
     #[must_use]
     pub fn block_powers(&self, cores: &[CorePowerInput], temps_c: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.sites.len());
+        self.block_powers_into(cores, temps_c, &mut out);
+        out
+    }
+
+    /// In-place variant of [`block_powers`](Self::block_powers): clears
+    /// and refills `out`, so a tick loop can reuse one buffer with zero
+    /// per-tick allocation.
+    ///
+    /// # Panics
+    ///
+    /// As [`block_powers`](Self::block_powers).
+    pub fn block_powers_into(&self, cores: &[CorePowerInput], temps_c: &[f64], out: &mut Vec<f64>) {
         assert_eq!(cores.len(), self.num_cores, "expected one input per core");
         assert_eq!(temps_c.len(), self.sites.len(), "expected one temperature per block");
 
@@ -228,19 +241,16 @@ impl PowerModel {
         let crossbar_w =
             self.params.crossbar_max_w * (0.5 * active_frac + 0.5 * mem_frac).clamp(0.0, 1.0);
 
-        self.sites
-            .iter()
-            .enumerate()
-            .map(|(site, info)| match info.kind {
-                UnitKind::Core => {
-                    let c = &cores[info.core_index.expect("core site has core index")];
-                    self.core_power(c, temps_c[site], info.area_mm2)
-                }
-                UnitKind::L2Cache => self.params.l2_w,
-                UnitKind::Crossbar => crossbar_w,
-                UnitKind::Other => self.params.other_w,
-            })
-            .collect()
+        out.clear();
+        out.extend(self.sites.iter().enumerate().map(|(site, info)| match info.kind {
+            UnitKind::Core => {
+                let c = &cores[info.core_index.expect("core site has core index")];
+                self.core_power(c, temps_c[site], info.area_mm2)
+            }
+            UnitKind::L2Cache => self.params.l2_w,
+            UnitKind::Crossbar => crossbar_w,
+            UnitKind::Other => self.params.other_w,
+        }));
     }
 
     /// Power of a single core given its state and temperature (W).

@@ -64,8 +64,11 @@ use crate::spec::SweepSpec;
 /// derived from the per-cell trace seed; v2 entries miss cleanly.
 /// v4: networks of 2 048 nodes or more factor through the scalar
 /// numeric phase instead of the blocked supernodal one, which changes
-/// their results by rounding; smaller grids keep their bytes.)
-pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v4";
+/// their results by rounding; smaller grids keep their bytes.
+/// v5: implicit networks of at most 128 nodes apply each tick as one
+/// precomputed propagator instead of three sparse TR-BDF2 substeps,
+/// which changes their results by rounding.)
+pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v5";
 
 /// FNV-64 fingerprint of [`ENGINE_VERSION`] plus the source text of the
 /// cell-descriptor serialization region below (the `lint:
@@ -75,7 +78,7 @@ pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v4";
 /// the salt — which would serve stale cache entries for new semantics —
 /// makes the lint (and CI) fail until both constants are updated
 /// together. The lint's error message prints the new value.
-pub const DESCRIPTOR_FINGERPRINT: u64 = 0x66fc_9e5a_89ea_7450;
+pub const DESCRIPTOR_FINGERPRINT: u64 = 0x2150_6a51_ae2b_e003;
 
 /// File name of the result store inside a cache directory.
 pub const STORE_FILE: &str = "results.tsv";

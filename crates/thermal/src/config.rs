@@ -16,7 +16,9 @@ pub enum Integrator {
     /// one-step TR-BDF2 composite — a trapezoidal (CN) stage followed
     /// by a BDF2 stage — whose two stages share one pre-factored
     /// `α·C + G` system per step size. L-stable, second order, and
-    /// O(nnz) per tick however stiff the RC network is.
+    /// O(nnz) per tick however stiff the RC network is; on networks of
+    /// at most 128 nodes a tick's substeps are precomputed into one
+    /// dense propagator (see [`ThermalModel::step`](crate::ThermalModel::step)).
     #[default]
     ImplicitCn,
     /// Classic explicit RK4 with stability-bounded substeps — thousands

@@ -11,7 +11,8 @@
 //! parameters. Steady states are solved directly through a sparse LDLᵀ
 //! factorization of the conductance matrix; transients default to an
 //! implicit pre-factored integrator ([`Integrator::ImplicitCn`]) that
-//! advances a full 100 ms tick in a couple of triangular solves, with
+//! advances a full 100 ms tick in a few triangular solves — on small
+//! networks one steady solve plus a precomputed dense propagator — with
 //! stability-controlled explicit RK4 retained as the golden reference
 //! ([`Integrator::ExplicitRk4`]).
 //!

@@ -194,26 +194,28 @@ impl CsrMatrix {
             .map(|(&c, &v)| (c, v))
     }
 
-    /// Returns `self + diag(d)` as a new matrix (used to assemble the
-    /// implicit integrator's shifted systems `α·C + G`).
+    /// Returns `self + diag(d)` as a new matrix with the same pattern
+    /// (used to assemble the implicit integrator's shifted systems
+    /// `α·C + G`). Built on a copy of `self`, so assembling a system
+    /// costs one matrix of memory, not a sorted triplet list.
     ///
     /// # Panics
     ///
-    /// Panics if `d.len() != dim()` or any entry is not finite.
+    /// Panics if `d.len() != dim()`, any entry is not finite, or a row
+    /// stores no diagonal entry (every RC conductance matrix stores
+    /// all of them).
     #[must_use]
     pub fn with_added_diagonal(&self, d: &[f64]) -> CsrMatrix {
         assert_eq!(d.len(), self.n, "diagonal length mismatch");
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(self.nnz() + self.n);
-        for r in 0..self.n {
-            for (c, v) in self.row(r) {
-                triplets.push((r, c, v));
-            }
-        }
+        let mut out = self.clone();
         for (i, &v) in d.iter().enumerate() {
             assert!(v.is_finite(), "diagonal entry {i} must be finite, got {v}");
-            triplets.push((i, i, v));
+            let k = (out.row_ptr[i]..out.row_ptr[i + 1])
+                .find(|&k| out.col_idx[k] == i)
+                .unwrap_or_else(|| panic!("row {i} stores no diagonal entry"));
+            out.values[k] += v;
         }
-        CsrMatrix::from_triplets(self.n, &triplets)
+        out
     }
 
     /// Entry `(row, col)` (zero if not stored).
