@@ -14,10 +14,10 @@
 //! A second axis tracks solver scaling: the per-100 ms-tick cost of
 //! the implicit and explicit-RK4 integrators on the two-die stack at
 //! grid resolutions 4×4 → 64×64 (4×4 is the one point on the implicit
-//! tick-propagator path) lands in `grid{G}.implicit_tick_us` /
+//! modal path) lands in `grid{G}.implicit_tick_us` /
 //! `grid{G}.rk4_tick_us` gauges (medians; per-sample timings in
 //! `bench.grid{G}_*_us` histograms). CI asserts the ≥10× implicit
-//! advantage at 64×64 from these gauges.
+//! advantage at 64×64 and ≥50× at 4×4 from these gauges.
 //!
 //! A third axis measures throughput: one cell at a short and a long
 //! simulated duration under the installed [`CountingAllocator`],
@@ -73,7 +73,7 @@ fn median(samples: &mut [u64]) -> u64 {
 /// The solver-scaling axis: median per-tick cost of each integrator at
 /// grid resolutions up to the 10⁴-node regime, on the two-die EXP-2
 /// stack under the bench power pattern. At 4×4 (34 nodes) the implicit
-/// tick applies the precomputed propagator; every larger grid runs the
+/// tick runs in the network's eigenbasis; every larger grid runs the
 /// sparse substeps.
 fn grid_axis(registry: &Registry, samples: usize) {
     let stack = Experiment::Exp2.stack();
@@ -93,8 +93,8 @@ fn grid_axis(registry: &Registry, samples: usize) {
             let cfg = ThermalConfig::paper_default().with_grid(g, g).with_integrator(integ);
             let mut model = ThermalModel::new(&stack, cfg);
             model.set_block_powers(&powers);
-            // Warm up: the implicit path analyzes, factors and (at 4×4)
-            // builds its propagator on first use.
+            // Warm up: the implicit path analyzes and factors, or (at
+            // 4×4) decomposes the network, on first use.
             model.step(0.1);
             // Timed at ns resolution: the 4×4 implicit tick takes about
             // a microsecond, which whole-µs readings would floor to 0.

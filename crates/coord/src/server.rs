@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 
 use therm3d_sweep::shard::ShardSpec;
 use therm3d_sweep::{
-    cell_key, decode_line, expand, to_toml, CacheStore, SweepCell, SweepReport, SweepRow,
-    ENGINE_VERSION,
+    cell_key, decode_line, expand, sim_config, to_toml, CacheStore, SweepCell, SweepReport,
+    SweepRow, ENGINE_VERSION,
 };
 use therm3d_telemetry::Progress;
 
@@ -78,9 +78,10 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     changed: Condvar,
-    /// Expected `CellKey::hex()` per canonical index — incoming result
-    /// lines are verified against these before they are accepted.
-    expected_hex: Vec<String>,
+    /// Expected `CellKey::hex()` and simulated ambient (°C) per
+    /// canonical index — incoming result lines are verified against
+    /// these before they are accepted.
+    expected: Vec<(String, f64)>,
     spec_toml: String,
     total: u64,
     lease_cells: u64,
@@ -157,7 +158,10 @@ impl Server {
         } else {
             opts.lease_timeout_ms
         };
-        let expected_hex = cells.iter().map(|cell| cell_key(spec, cell).hex()).collect();
+        let expected = cells
+            .iter()
+            .map(|cell| (cell_key(spec, cell).hex(), sim_config(spec, cell).thermal.ambient_c))
+            .collect();
         let listener =
             TcpListener::bind(listen).map_err(|e| format!("cannot listen on {listen}: {e}"))?;
         let local_addr =
@@ -176,7 +180,7 @@ impl Server {
                     accept_error: None,
                 }),
                 changed: Condvar::new(),
-                expected_hex,
+                expected,
                 spec_toml: to_toml(spec),
                 total: total as u64,
                 lease_cells: lease_cells as u64,
@@ -379,18 +383,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<Handler> {
 
 /// Converts and verifies one incoming result batch: indices in range,
 /// lines that decode under the cache codec, keys matching the
-/// canonical expansion. Any failure rejects the whole batch — a worker
-/// sending wrong keys is running different semantics and must not
-/// contribute.
+/// canonical expansion, results that pass `RunResult::check`. Any
+/// failure rejects the whole batch — a worker sending wrong keys is
+/// running different semantics, and one sending unphysical numbers is
+/// broken; neither may contribute.
 fn verify_rows(shared: &Shared, rows: &[(u64, String)]) -> Result<Vec<(usize, String)>, String> {
     let mut out = Vec::with_capacity(rows.len());
     for (raw_index, line) in rows {
         let index = usize::try_from(*raw_index).map_err(|_| format!("cell index {raw_index}"))?;
-        let expected = shared
-            .expected_hex
-            .get(index)
-            .ok_or_else(|| format!("cell index {index} out of range"))?;
-        let (key, _) =
+        let (expected, ambient_c) =
+            shared.expected.get(index).ok_or_else(|| format!("cell index {index} out of range"))?;
+        let (key, result) =
             decode_line(line).ok_or_else(|| format!("cell {index}: corrupt result line"))?;
         if key.hex() != *expected {
             return Err(format!(
@@ -398,6 +401,7 @@ fn verify_rows(shared: &Shared, rows: &[(u64, String)]) -> Result<Vec<(usize, St
                 key.hex()
             ));
         }
+        result.check(*ambient_c).map_err(|v| format!("cell {index}: unphysical result: {v}"))?;
         out.push((index, line.clone()));
     }
     Ok(out)

@@ -16,7 +16,7 @@ use therm3d_coord::wire::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
 use therm3d_coord::{work, ServeOptions, Server, WorkOptions};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
-use therm3d_sweep::{SweepSpec, ENGINE_VERSION};
+use therm3d_sweep::{cell_key, encode_line, CacheStore, SweepSpec, ENGINE_VERSION};
 use therm3d_telemetry::Progress;
 use therm3d_workload::Benchmark;
 
@@ -35,8 +35,9 @@ fn spec(name: &str) -> SweepSpec {
 const CELLS: usize = 4;
 
 /// Handshakes with the coordinator at `addr` and takes one lease,
-/// returning the open connection and the granted `(start, len)`.
-fn take_lease(addr: &str) -> (TcpStream, (u64, u64)) {
+/// returning the open connection, the lease id and the granted
+/// `(start, len)`.
+fn take_lease(addr: &str) -> (TcpStream, u64, (u64, u64)) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_msg(
         &mut stream,
@@ -46,7 +47,7 @@ fn take_lease(addr: &str) -> (TcpStream, (u64, u64)) {
     assert!(matches!(read_msg(&mut stream).expect("welcome"), Msg::Welcome { .. }));
     write_msg(&mut stream, &Msg::LeaseRequest).expect("lease request");
     match read_msg(&mut stream).expect("grant") {
-        Msg::LeaseGrant { start, len, .. } => (stream, (start, len)),
+        Msg::LeaseGrant { lease_id, start, len } => (stream, lease_id, (start, len)),
         other => panic!("expected a lease grant, got {other:?}"),
     }
 }
@@ -111,7 +112,7 @@ fn dead_worker_lease_is_reissued_and_campaign_completes() {
     let deserter = {
         let addr = addr.clone();
         thread::spawn(move || {
-            let (stream, (_, len)) = take_lease(&addr);
+            let (stream, _, (_, len)) = take_lease(&addr);
             assert!(len > 0, "deserter should get a real range");
             granted_tx.send(()).expect("signal the honest worker");
             drop(stream); // The crash.
@@ -148,7 +149,7 @@ fn hung_worker_lease_expires_to_a_blocked_lease_request() {
     let hung = {
         let addr = addr.clone();
         thread::spawn(move || {
-            let (stream, range) = take_lease(&addr);
+            let (stream, _, range) = take_lease(&addr);
             assert_eq!(range, (0, CELLS as u64));
             granted_tx.send(()).expect("signal the honest worker");
             let _ = release_rx.recv();
@@ -202,6 +203,60 @@ fn a_worker_waiting_for_a_lease_is_drained_cleanly() {
     assert_eq!(report.csv(), single);
     assert_eq!((holder.cells, holder.leases), (CELLS, 1), "{holder:?}");
     assert_eq!((waiter.cells, waiter.leases), (0, 0), "{waiter:?}");
+}
+
+#[test]
+fn a_checksummed_nan_row_is_rejected_and_never_stored() {
+    let spec = spec("coord-nan");
+    let single = therm3d_sweep::run(&spec).expect("single-process run");
+
+    let opts = ServeOptions { lease_cells: Some(1), lease_timeout_ms: 60_000 };
+    let server = Server::bind(&spec, "127.0.0.1:0", &opts).expect("bind");
+    let addr = server.local_addr().to_string();
+
+    // A broken worker reports its cell with a NaN peak under the right
+    // key and a valid checksum, so only the result check can catch it;
+    // then it hangs up and its lease is re-issued. The honest worker
+    // starts once the broken one has its answer.
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let broken = {
+        let (addr, spec, rows) = (addr.clone(), spec.clone(), single.rows.clone());
+        thread::spawn(move || {
+            let (mut stream, lease_id, (start, _)) = take_lease(&addr);
+            let row = &rows[usize::try_from(start).expect("small index")];
+            let mut result = row.result.clone();
+            result.peak_temp_c = f64::NAN;
+            let line = encode_line(&cell_key(&spec, &row.cell), &result);
+            write_msg(&mut stream, &Msg::ResultBatch { lease_id, rows: vec![(start, line)] })
+                .expect("result batch");
+            reply_tx.send(read_msg(&mut stream).expect("reply")).expect("hand over the reply");
+        })
+    };
+    let honest = thread::spawn(move || {
+        let reply = reply_rx.recv().expect("the broken worker got an answer");
+        (reply, work(&addr, &WorkOptions::default()))
+    });
+    let dir = std::env::temp_dir().join(format!("therm3d-coord-nan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = CacheStore::open(&dir).expect("open cache");
+    let report = server.run(Some(&mut store), None).expect("campaign");
+    broken.join().expect("broken thread");
+    let (reply, summary) = honest.join().expect("honest thread");
+    summary.expect("honest worker");
+
+    match reply {
+        Msg::Reject { reason } => {
+            assert!(reason.contains("unphysical") && reason.contains("not finite"), "{reason}");
+        }
+        other => panic!("expected the batch to be rejected, got {other:?}"),
+    }
+    assert_eq!(report.csv(), single.csv(), "the NaN row never reached the report");
+    drop(store);
+    let stored =
+        std::fs::read_to_string(dir.join(therm3d_sweep::cache::STORE_FILE)).expect("store");
+    assert_eq!(stored.lines().count(), CELLS, "one stored line per cell, none of them the NaN row");
+    assert!(!stored.contains("NaN"), "{stored}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,6 +5,10 @@ use std::fmt;
 use therm3d_floorplan::Experiment;
 use therm3d_metrics::PerformanceStats;
 
+/// The hottest peak a [`RunResult`] may report, °C: silicon melts at
+/// 1 414 °C, so a hotter peak can only come from a diverged simulation.
+pub const PEAK_CEILING_C: f64 = 1414.0;
+
 /// Everything a figure needs from one (experiment, policy, workload) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
@@ -41,6 +45,71 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Checks that the result is physical for a chip simulated at
+    /// `ambient_c`: every float is finite, the three percentages lie in
+    /// [0, 100], `peak_temp_c` lies between ambient and
+    /// [`PEAK_CEILING_C`], `0 ≤ vertical_mean_c ≤ vertical_peak_c`, the
+    /// energy, power and turnarounds are not negative, and
+    /// `duration_s` is positive.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field that breaks a rule, with its value.
+    pub fn check(&self, ambient_c: f64) -> Result<(), String> {
+        let perf = &self.perf;
+        let floats = [
+            ("duration_s", self.duration_s),
+            ("hotspot_pct", self.hotspot_pct),
+            ("gradient_pct", self.gradient_pct),
+            ("cycle_pct", self.cycle_pct),
+            ("vertical_peak_c", self.vertical_peak_c),
+            ("vertical_mean_c", self.vertical_mean_c),
+            ("peak_temp_c", self.peak_temp_c),
+            ("mean_turnaround_s", perf.mean_turnaround_s),
+            ("max_turnaround_s", perf.max_turnaround_s),
+            ("total_turnaround_s", perf.total_turnaround_s),
+            ("energy_j", self.energy_j),
+            ("mean_power_w", self.mean_power_w),
+        ];
+        if let Some((name, value)) = floats.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name} is {value}, not finite"));
+        }
+        let percentages = [
+            ("hotspot_pct", self.hotspot_pct),
+            ("gradient_pct", self.gradient_pct),
+            ("cycle_pct", self.cycle_pct),
+        ];
+        if let Some((name, value)) = percentages.iter().find(|(_, v)| !(0.0..=100.0).contains(v)) {
+            return Err(format!("{name} is {value}, outside [0, 100]"));
+        }
+        if !(ambient_c..=PEAK_CEILING_C).contains(&self.peak_temp_c) {
+            return Err(format!(
+                "peak_temp_c is {}, outside ambient {ambient_c} to {PEAK_CEILING_C} °C",
+                self.peak_temp_c
+            ));
+        }
+        if !(0.0 <= self.vertical_mean_c && self.vertical_mean_c <= self.vertical_peak_c) {
+            return Err(format!(
+                "vertical_mean_c is {}, outside 0 to vertical_peak_c {}",
+                self.vertical_mean_c, self.vertical_peak_c
+            ));
+        }
+        let non_negative = [
+            ("energy_j", self.energy_j),
+            ("mean_power_w", self.mean_power_w),
+            ("mean_turnaround_s", perf.mean_turnaround_s),
+            ("max_turnaround_s", perf.max_turnaround_s),
+            ("total_turnaround_s", perf.total_turnaround_s),
+        ];
+        if let Some((name, value)) = non_negative.iter().find(|(_, v)| *v < 0.0) {
+            return Err(format!("{name} is {value}, negative"));
+        }
+        if self.duration_s <= 0.0 {
+            return Err(format!("duration_s is {}, not positive", self.duration_s));
+        }
+        Ok(())
+    }
+
     /// Throughput-normalized performance against a baseline run
     /// (1.0 = same speed; Figure 3's right axis).
     #[must_use]
@@ -130,6 +199,90 @@ mod tests {
             RunResult::table_header().split_whitespace().count(),
             r.table_row().split_whitespace().count()
         );
+    }
+
+    #[test]
+    fn a_physical_result_passes_the_check() {
+        assert_eq!(result("Default", 1.0).check(45.0), Ok(()));
+    }
+
+    /// The check's verdict on `result("Default", 1.0)` after `edit`.
+    fn checked(edit: impl FnOnce(&mut RunResult)) -> Result<(), String> {
+        let mut r = result("Default", 1.0);
+        edit(&mut r);
+        r.check(45.0)
+    }
+
+    #[test]
+    fn every_float_must_be_finite() {
+        let edits: [fn(&mut RunResult); 12] = [
+            |r| r.duration_s = f64::INFINITY,
+            |r| r.hotspot_pct = f64::NAN,
+            |r| r.gradient_pct = f64::NAN,
+            |r| r.cycle_pct = f64::NAN,
+            |r| r.vertical_peak_c = f64::INFINITY,
+            |r| r.vertical_mean_c = f64::NAN,
+            |r| r.peak_temp_c = f64::NAN,
+            |r| r.perf.mean_turnaround_s = f64::NAN,
+            |r| r.perf.max_turnaround_s = f64::INFINITY,
+            |r| r.perf.total_turnaround_s = f64::NAN,
+            |r| r.energy_j = f64::NEG_INFINITY,
+            |r| r.mean_power_w = f64::NAN,
+        ];
+        for edit in edits {
+            let err = checked(edit).expect_err("a non-finite field must fail");
+            assert!(err.contains("not finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn percentages_lie_between_0_and_100() {
+        for edit in [
+            |r: &mut RunResult| r.hotspot_pct = -0.1,
+            |r: &mut RunResult| r.gradient_pct = 100.5,
+            |r: &mut RunResult| r.cycle_pct = -1.0,
+        ] {
+            let err = checked(edit).expect_err("an out-of-range percentage must fail");
+            assert!(err.contains("outside [0, 100]"), "{err}");
+        }
+        assert_eq!(checked(|r| r.hotspot_pct = 100.0), Ok(()));
+        assert_eq!(checked(|r| r.cycle_pct = 0.0), Ok(()));
+    }
+
+    #[test]
+    fn peak_lies_between_ambient_and_the_ceiling() {
+        assert!(checked(|r| r.peak_temp_c = 44.9).is_err(), "below ambient");
+        assert!(checked(|r| r.peak_temp_c = PEAK_CEILING_C + 1.0).is_err(), "above the ceiling");
+        assert_eq!(checked(|r| r.peak_temp_c = 45.0), Ok(()));
+        assert_eq!(checked(|r| r.peak_temp_c = PEAK_CEILING_C), Ok(()));
+    }
+
+    #[test]
+    fn vertical_mean_lies_between_0_and_the_peak() {
+        assert!(checked(|r| r.vertical_mean_c = -0.5).is_err(), "negative mean");
+        assert!(checked(|r| r.vertical_mean_c = r.vertical_peak_c + 0.1).is_err(), "above peak");
+        assert_eq!(checked(|r| r.vertical_mean_c = r.vertical_peak_c), Ok(()));
+    }
+
+    #[test]
+    fn energy_power_and_turnarounds_are_not_negative() {
+        let edits: [fn(&mut RunResult); 5] = [
+            |r| r.energy_j = -1.0,
+            |r| r.mean_power_w = -0.1,
+            |r| r.perf.mean_turnaround_s = -1.0,
+            |r| r.perf.max_turnaround_s = -1.0,
+            |r| r.perf.total_turnaround_s = -1.0,
+        ];
+        for edit in edits {
+            let err = checked(edit).expect_err("a negative quantity must fail");
+            assert!(err.contains("negative"), "{err}");
+        }
+    }
+
+    #[test]
+    fn duration_must_be_positive() {
+        assert!(checked(|r| r.duration_s = 0.0).is_err());
+        assert!(checked(|r| r.duration_s = -1.0).is_err());
     }
 
     #[test]

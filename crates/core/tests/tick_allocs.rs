@@ -1,7 +1,7 @@
 //! The engine's tick loop allocates nothing once warm: under the
 //! counting allocator, every tick after the first cycle window makes
 //! zero heap allocations on every experiment under both integrators,
-//! on the propagator path of small networks and on the sparse path of
+//! on the modal path of small networks and on the sparse path of
 //! larger ones.
 //!
 //! The policy here returns an empty `ControlDecision`, which allocates
@@ -76,7 +76,7 @@ fn warm_engine_ticks_allocate_nothing() {
         .into_iter()
         .flat_map(|exp| Integrator::ALL.into_iter().map(move |integ| (exp, 4, integ)))
         .collect();
-    // 130 nodes: past the propagator's size limit, on the sparse path.
+    // 130 nodes: past the modal path's size limit, on the sparse path.
     cases.push((Experiment::Exp2, 8, Integrator::ImplicitCn));
     for (exp, grid, integrator) in cases {
         let mut cfg = SimConfig::fast(exp).with_integrator(integrator);

@@ -67,8 +67,10 @@ use crate::spec::SweepSpec;
 /// their results by rounding; smaller grids keep their bytes.
 /// v5: implicit networks of at most 128 nodes apply each tick as one
 /// precomputed propagator instead of three sparse TR-BDF2 substeps,
-/// which changes their results by rounding.)
-pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v5";
+/// which changes their results by rounding.
+/// v6: those networks step in their eigenbasis instead, one decay and
+/// gain per mode, which again changes their results by rounding.)
+pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v6";
 
 /// FNV-64 fingerprint of [`ENGINE_VERSION`] plus the source text of the
 /// cell-descriptor serialization region below (the `lint:
@@ -78,7 +80,7 @@ pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v5";
 /// the salt — which would serve stale cache entries for new semantics —
 /// makes the lint (and CI) fail until both constants are updated
 /// together. The lint's error message prints the new value.
-pub const DESCRIPTOR_FINGERPRINT: u64 = 0x2150_6a51_ae2b_e003;
+pub const DESCRIPTOR_FINGERPRINT: u64 = 0x91b7_57f2_9bda_0a12;
 
 /// File name of the result store inside a cache directory.
 pub const STORE_FILE: &str = "results.tsv";

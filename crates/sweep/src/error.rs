@@ -13,13 +13,15 @@ use std::fmt;
 pub enum SweepError {
     /// The spec failed [`SweepSpec::validate`](crate::SweepSpec::validate).
     InvalidSpec(String),
-    /// One cell's simulation panicked or its worker died; `cell` is the
-    /// human-readable descriptor from
+    /// One cell's simulation panicked, produced an unphysical result
+    /// (see [`RunResult::check`](therm3d::RunResult::check)) or its
+    /// worker died; `cell` is the human-readable descriptor from
     /// [`SweepCell::describe`](crate::SweepCell::describe).
     CellFailed {
         /// Which cell died (index + resolved axes).
         cell: String,
-        /// The panic payload or worker-loss description.
+        /// The panic payload, the broken rule or the worker-loss
+        /// description.
         cause: String,
     },
     /// The result cache could not be opened, read or appended to.

@@ -18,7 +18,9 @@
 //! A cell whose simulation panics no longer aborts the whole campaign
 //! via a poisoned `expect`: the panic is caught on the worker, and the
 //! run returns [`SweepError::CellFailed`] naming the first failed cell
-//! in canonical order. Failed cells are never written to the cache.
+//! in canonical order. A freshly simulated result that fails
+//! [`RunResult::check`] fails its cell the same way. Failed cells are
+//! never written to the cache; cache hits are not re-checked.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
@@ -139,15 +141,22 @@ fn run_cell_costed(
     (result, cost)
 }
 
-/// [`run_cell_costed`] with panics converted to an error message,
-/// so one exploding cell reports itself instead of killing its worker.
+/// [`run_cell_costed`] with panics and unphysical results (see
+/// [`RunResult::check`]) converted to an error message, so one
+/// exploding cell reports itself instead of killing its worker or
+/// entering the cache.
 fn try_run_cell(
     spec: &SweepSpec,
     cell: &SweepCell,
     share: Option<&FactorShare>,
 ) -> Result<(RunResult, CellCost), String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, share)))
-        .map_err(|payload| panic_message(payload.as_ref()))
+    let (result, cost) =
+        std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, share)))
+            .map_err(|payload| panic_message(payload.as_ref()))?;
+    result
+        .check(sim_config(spec, cell).thermal.ambient_c)
+        .map_err(|violation| format!("unphysical result: {violation}"))?;
+    Ok((result, cost))
 }
 
 /// [`try_run_cell`] bracketed by telemetry: a `cell_start` event before
@@ -210,7 +219,8 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
 /// # Errors
 ///
 /// [`SweepError::InvalidSpec`] for a spec that fails validation, or
-/// [`SweepError::CellFailed`] when a cell's simulation panics.
+/// [`SweepError::CellFailed`] when a cell's simulation panics or yields
+/// an unphysical result.
 pub fn run(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
     run_with_cache(spec, None)
 }
@@ -223,8 +233,9 @@ pub fn run(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
 /// # Errors
 ///
 /// [`SweepError::InvalidSpec`] for a spec that fails validation,
-/// [`SweepError::CellFailed`] when a cell's simulation panics (the
-/// failed cell is named; nothing is cached for it), or
+/// [`SweepError::CellFailed`] when a cell's simulation panics or yields
+/// an unphysical result (the failed cell is named; nothing is cached
+/// for it), or
 /// [`SweepError::Cache`] when the store cannot be appended to.
 pub fn run_with_cache(
     spec: &SweepSpec,

@@ -157,18 +157,19 @@ fn engine_version_bump_invalidates_the_whole_store() {
 }
 
 #[test]
-fn v4_salted_entries_miss_under_the_v5_engine() {
-    // Implicit networks of at most 128 nodes moved from three sparse
-    // substeps per tick to one precomputed propagator, which changes
-    // their results by rounding: ENGINE_VERSION moved from v4 to v5,
-    // and anything a pre-bump binary persisted must be dead on arrival.
-    assert_eq!(cache::ENGINE_VERSION, "therm3d-sweep-cache/v5");
-    let dir = tmp_dir("v4_salt");
+fn v5_salted_entries_miss_under_the_v6_engine() {
+    // Implicit networks of at most 128 nodes moved from one precomputed
+    // propagator per tick to stepping in their eigenbasis, which
+    // changes their results by rounding: ENGINE_VERSION moved from v5
+    // to v6, and anything a pre-bump binary persisted must be dead on
+    // arrival.
+    assert_eq!(cache::ENGINE_VERSION, "therm3d-sweep-cache/v6");
+    let dir = tmp_dir("v5_salt");
     let spec = small_spec(&[PolicyKind::Default, PolicyKind::Adapt3d], 1);
     let report = run(&spec).unwrap();
     let mut store = CacheStore::open(&dir).unwrap();
     for row in &report.rows {
-        let old_key = cache::cell_key_salted(&spec, &row.cell, "therm3d-sweep-cache/v4");
+        let old_key = cache::cell_key_salted(&spec, &row.cell, "therm3d-sweep-cache/v5");
         store.insert(&old_key, &row.result).unwrap();
     }
     drop(store);
@@ -177,19 +178,19 @@ fn v4_salted_entries_miss_under_the_v5_engine() {
     assert_eq!(store.len(), spec.cell_count(), "old entries load intact...");
     let warm = run_with_cache(&spec, Some(&mut store)).unwrap();
     let s = store.stats();
-    assert_eq!(s.hits, 0, "...but the v4 salt must never satisfy a v5 lookup");
+    assert_eq!(s.hits, 0, "...but the v5 salt must never satisfy a v6 lookup");
     assert_eq!(s.misses, spec.cell_count() as u64);
-    assert_eq!(s.inserted, spec.cell_count() as u64, "fresh v5 entries are written back");
+    assert_eq!(s.inserted, spec.cell_count() as u64, "fresh v6 entries are written back");
     assert_eq!(warm.csv(), report.csv(), "re-simulation reproduces the uncached report");
 
     // A third run is fully warm under the new salt, and compaction
-    // reclaims exactly the dead v4 lines.
+    // reclaims exactly the dead v5 lines.
     let mut store = CacheStore::open(&dir).unwrap();
     run_with_cache(&spec, Some(&mut store)).unwrap();
     assert_eq!(store.stats().misses, 0);
     let stats = store.compact().unwrap();
     assert_eq!(stats.kept, spec.cell_count() as u64);
-    assert_eq!(stats.dropped_stale, spec.cell_count() as u64, "every v4 line is dropped");
+    assert_eq!(stats.dropped_stale, spec.cell_count() as u64, "every v5 line is dropped");
     let mut store = CacheStore::open(&dir).unwrap();
     run_with_cache(&spec, Some(&mut store)).unwrap();
     assert_eq!(store.stats().misses, 0, "compaction keeps the live entries hot");

@@ -11,10 +11,10 @@
 //! parameters. Steady states are solved directly through a sparse LDLᵀ
 //! factorization of the conductance matrix; transients default to an
 //! implicit pre-factored integrator ([`Integrator::ImplicitCn`]) that
-//! advances a full 100 ms tick in a few triangular solves — on small
-//! networks one steady solve plus a precomputed dense propagator — with
-//! stability-controlled explicit RK4 retained as the golden reference
-//! ([`Integrator::ExplicitRk4`]).
+//! advances a full 100 ms tick in a few triangular solves — on networks
+//! of at most 128 nodes one pass over the modes of the network's
+//! eigenbasis — with stability-controlled explicit RK4 retained as the
+//! golden reference ([`Integrator::ExplicitRk4`]).
 //!
 //! # Quick start
 //!
@@ -36,6 +36,7 @@ pub mod block_model;
 pub mod config;
 pub mod grid;
 pub mod material;
+mod modal;
 pub mod model;
 pub mod network;
 pub mod share;

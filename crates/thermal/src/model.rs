@@ -1,7 +1,6 @@
 //! The transient/steady-state thermal model: the public face of this
 //! crate.
 
-use std::borrow::Cow;
 use std::f64::consts::SQRT_2;
 use std::sync::Arc;
 
@@ -9,6 +8,7 @@ use therm3d_floorplan::Stack3d;
 use therm3d_telemetry::Span;
 
 use crate::config::{Integrator, ThermalConfig};
+use crate::modal::{self, Eigenbasis};
 use crate::network::RcNetwork;
 use crate::share::{FactorShare, ShareState};
 use crate::sparse::factor::{analyze, analyze_with_perm, LdlFactor, Symbolic};
@@ -26,26 +26,26 @@ const RK4_STABILITY: f64 = 2.78;
 /// triangular solves per substep) remains ≥15× cheaper than RK4's
 /// ~70–80 stability-bounded substeps; one substep per tick would halve
 /// the sparse tick but drifts by ~0.8 °C on mid-frequency (tens-of-ms)
-/// thermal modes. Networks of at most `PROPAGATOR_MAX_DIM` nodes
-/// compose the substeps once into a [`Propagator`], so there the
-/// substep count costs nothing per tick.
+/// thermal modes. Networks of at most `MODAL_MAX_DIM` nodes step in
+/// their eigenbasis, where the substeps of a tick collapse into one
+/// decay factor per mode, so there the substep count costs nothing per
+/// tick.
 pub(crate) const MAX_IMPLICIT_STEP_S: f64 = 0.035;
 /// Network size at which the symbolic analysis switches from the exact
 /// minimum-degree ordering (quadratic-plus in the node count) to the
 /// geometric nested-dissection order (near-linear on the grid).
 const ND_MIN_DIM: usize = 2048;
-/// Largest network whose implicit tick applies a precomputed
-/// [`Propagator`]; larger networks run the sparse TR-BDF2 substeps every
-/// tick. Per 100 ms tick the propagator beat the substeps 3.8× at 34
-/// nodes and 3.3–3.6× at 66–74 (2 vCPU, release), and would still win
-/// 2.3–2.4× at 130–146. But its build — 3n sparse substeps on the first
-/// step at each `dt` — grows from 0.2 ms at 34 nodes to 4–7 ms at
-/// 130–146, and its n(n+1)/2 stored entries from 4.8 KB to 68–86 KB per
-/// model, so the paper's 8×8 grids stay on the sparse path.
-const PROPAGATOR_MAX_DIM: usize = 128;
-/// Cap on simultaneously cached step factors or propagators, each
-/// evicted LRU (each distinct step size needs one; real drivers use one
-/// or two).
+/// Largest network whose implicit tick runs in its eigenbasis; larger
+/// networks run the sparse TR-BDF2 substeps every tick. At 130 nodes
+/// (the paper's 8×8 grids) a modal tick would still take 0.9–1.0 µs
+/// against 12–13 µs for the substeps (2 vCPU, release), and its
+/// n·(blocks + 3) stored doubles stay near 2.5 K, but the dense
+/// decomposition on the first step grows as n³: 0.07–0.14 ms at 34
+/// nodes, 0.2–0.6 ms at 66, about 1 ms at 130 and 5.5–6 ms at 258.
+const MODAL_MAX_DIM: usize = 128;
+/// Cap on simultaneously cached step factors or per-`dt` modal gains,
+/// each evicted LRU (each distinct step size needs one; real drivers
+/// use one or two).
 const MAX_CACHED_FACTORS: usize = 8;
 /// TR-BDF2 with γ = 2 − √2: both stages share the system
 /// `(shift/h)·C + G` with shift = 2/γ = 2 + √2.
@@ -88,13 +88,15 @@ pub(crate) const TRBDF2_C2: f64 = (SQRT_2 - 1.0) / 2.0;
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
     network: RcNetwork,
-    /// Node temperatures in kelvin.
+    /// Node temperatures in kelvin; stale while `modes` holds the
+    /// state.
     temps_k: Vec<f64>,
     /// The drive `b = P + g_amb·T_amb` of the current powers, per node
-    /// in W: the right-hand side every integrator and the steady solve
-    /// read.
+    /// in W: the right-hand side RK4, the sparse substeps and the
+    /// steady solve read. A modal step does not read it, so on networks
+    /// that step modally only the steady solve fills it.
     drive: Vec<f64>,
-    /// Current per-block power in W (kept for diagnostics).
+    /// Current per-block power in W.
     block_power: Vec<f64>,
     /// Fixed stable substep for explicit integration, seconds.
     stable_dt: f64,
@@ -102,9 +104,34 @@ pub struct ThermalModel {
     integrator: Integrator,
     /// Scratch buffers for RK4 (empty under the implicit integrator).
     scratch: Rk4Scratch,
-    /// Cached factorizations, propagators and buffers for the implicit
+    /// Cached factorizations, eigenbasis and buffers for the implicit
     /// path.
     implicit: ImplicitState,
+    /// The state of a network stepped in its eigenbasis.
+    modes: ModalState,
+}
+
+/// The state of a network stepped in its eigenbasis. Before its first
+/// step a model holds node temperatures, and each of them is the
+/// steady state under some injection `Wᵀ·p₀ + q·e_sink` (`new`:
+/// nothing; `initialize_steady_state`: the block powers; `reset_uniform`:
+/// the current the sink passes to ambient at that temperature), so the
+/// first step converts it to amplitudes without the eigenvectors.
+#[derive(Debug, Clone)]
+struct ModalState {
+    /// Whether `amplitudes` rather than the node temperatures hold the
+    /// state: from the first modal step until the next steady or
+    /// uniform reset.
+    active: bool,
+    /// The modal amplitudes `x`.
+    amplitudes: Vec<f64>,
+    /// Block temperature rise over ambient, `Bᵀ·x`, after the last
+    /// step.
+    rise: Vec<f64>,
+    /// Block powers `p₀` of the steady state the node temperatures hold.
+    origin_powers: Vec<f64>,
+    /// Sink injection `q` of that steady state, W.
+    origin_sink_w: f64,
 }
 
 /// Which shared-factor slot a factorization request targets.
@@ -119,18 +146,12 @@ enum FactorKey {
 /// Solver products keyed by the exact bit pattern of a step size, most
 /// recently used last; past `MAX_CACHED_FACTORS` entries the least
 /// recently used is evicted.
-#[derive(Debug)]
-struct Lru<T>(Vec<(u64, Arc<T>)>);
+#[derive(Debug, Clone)]
+struct Lru<T>(Vec<(u64, T)>);
 
 impl<T> Default for Lru<T> {
     fn default() -> Self {
         Self(Vec::new())
-    }
-}
-
-impl<T> Clone for Lru<T> {
-    fn clone(&self) -> Self {
-        Self(self.0.clone())
     }
 }
 
@@ -145,7 +166,7 @@ impl<T> Lru<T> {
     }
 
     /// Inserts `value` as the most recent entry and returns its slot.
-    fn insert(&mut self, key: u64, value: Arc<T>) -> usize {
+    fn insert(&mut self, key: u64, value: T) -> usize {
         if self.0.len() >= MAX_CACHED_FACTORS {
             self.0.remove(0);
         }
@@ -158,19 +179,20 @@ impl<T> Lru<T> {
     }
 }
 
-/// Lazily built direct-solver state: factorization and propagator
-/// caches plus reusable dense work vectors (the per-tick hot path
-/// allocates nothing).
+/// Lazily built direct-solver state: factorization caches, the
+/// eigenbasis and its per-`dt` gains, plus reusable dense work vectors
+/// (the per-tick hot path allocates nothing).
 #[derive(Debug, Clone, Default)]
 struct ImplicitState {
     /// Factorizations of `(TRBDF2_SHIFT/h)·C + G` by substep size `h`
-    /// (networks above `PROPAGATOR_MAX_DIM` nodes).
-    steps: Lru<LdlFactor>,
-    /// Tick propagators by tick length `dt` (networks of at most
-    /// `PROPAGATOR_MAX_DIM` nodes).
-    propagators: Lru<Propagator>,
-    /// Factorization of `G` alone, for direct steady-state solves and
-    /// the propagator's steady target.
+    /// (networks above `MODAL_MAX_DIM` nodes).
+    steps: Lru<Arc<LdlFactor>>,
+    /// The eigenbasis of a network of at most `MODAL_MAX_DIM` nodes,
+    /// one for every `dt`.
+    basis: Option<Arc<Eigenbasis>>,
+    /// Per-mode decay and gain of a tick, by tick length `dt`.
+    gains: Lru<Vec<(f64, f64)>>,
+    /// Factorization of `G` alone, for direct steady-state solves.
     steady: Option<Arc<LdlFactor>>,
     /// Shared symbolic analysis: the pattern of `α·C + G` is
     /// α-independent (C is diagonal, G has a full structural diagonal)
@@ -187,17 +209,13 @@ struct ImplicitState {
     /// locally or adopted ready-made from the attached share; the count
     /// is identical either way, so it is scheduling-independent (tests
     /// assert cache reuse through [`ThermalModel::factorization_count`]).
-    /// A propagator counts as the one step factorization it is built
-    /// from.
+    /// The eigenbasis counts as one.
     factor_count: usize,
     /// Symbolic analyses ensured (same semantics; see
     /// [`ThermalModel::symbolic_analysis_count`]).
     symbolic_count: usize,
     /// Work vectors of the sparse substeps and of every sparse solve.
     work: SubstepWork,
-    /// The propagator tick's steady target `T*`, swapped with the
-    /// temperatures once the tick is applied.
-    target: Vec<f64>,
 }
 
 impl ImplicitState {
@@ -246,72 +264,49 @@ impl ImplicitState {
         symbolic.factor_numeric(a).unwrap_or_else(|e| panic!("{what} must be SPD: {e}"))
     }
 
-    /// Ensures one solver product made from the factorization of `a`:
-    /// reuses (or lazily computes) the shared symbolic analysis, and —
-    /// when a [`FactorShare`] is attached — adopts the product from the
-    /// share (`lookup`) or makes it exactly once *under the share lock*
-    /// (`finish` turns the numeric factor into the product, `store`
-    /// files it), so a sibling cell waits and adopts instead of making
-    /// it again.
+    /// Ensures one solver product: when a [`FactorShare`] is attached,
+    /// adopts it from the share (`lookup`) or makes it exactly once
+    /// *under the share lock* (`make`, filed by `store`), so a sibling
+    /// cell waits and adopts instead of making it again.
     fn ensure_shared<T>(
         &mut self,
-        a: Cow<'_, CsrMatrix>,
-        what: &str,
         lookup: impl FnOnce(&ShareState) -> Option<Arc<T>>,
-        finish: impl FnOnce(LdlFactor) -> T,
+        make: impl FnOnce(&Self) -> T,
         store: impl FnOnce(&mut ShareState, &Arc<T>),
     ) -> Arc<T> {
-        // LDLᵀ without pivoting assumes symmetry; an asymmetric system
-        // here means the RC assembly upstream is broken.
-        debug_assert!(a.is_symmetric(1e-9), "{what} must be symmetric for LDL^T");
         self.factor_count += 1;
         let Some(share) = self.share.clone() else {
-            self.ensure_symbolic(&a, None);
-            return self.make(a, what, finish);
+            return Arc::new(make(self));
         };
         let mut state = share.lock();
-        self.ensure_symbolic(&a, Some(&mut state));
         if let Some(found) = lookup(&state) {
             state.hits += 1;
             return found;
         }
-        let made = self.make(a, what, finish);
+        let made = Arc::new(make(self));
         store(&mut state, &made);
         state.factorizations += 1;
         made
     }
 
-    /// Factors `a` and turns the factor into the product, dropping an
-    /// assembled system before `finish` runs: building a propagator
-    /// needs only the factor.
-    fn make<T>(
-        &self,
-        a: Cow<'_, CsrMatrix>,
-        what: &str,
-        finish: impl FnOnce(LdlFactor) -> T,
-    ) -> Arc<T> {
-        let factor = self.numeric_phase(&a, what);
-        drop(a);
-        Arc::new(finish(factor))
-    }
-
-    /// Ensures the factorization of `a` for `key`.
-    fn factor_shared(
-        &mut self,
-        a: Cow<'_, CsrMatrix>,
-        what: &str,
-        key: FactorKey,
-    ) -> Arc<LdlFactor> {
+    /// Ensures the factorization of `a` for `key`, reusing (or lazily
+    /// computing) the shared symbolic analysis.
+    fn factor_shared(&mut self, a: &CsrMatrix, what: &str, key: FactorKey) -> Arc<LdlFactor> {
+        // LDLᵀ without pivoting assumes symmetry; an asymmetric system
+        // here means the RC assembly upstream is broken.
+        debug_assert!(a.is_symmetric(1e-9), "{what} must be symmetric for LDL^T");
+        let share = self.share.clone();
+        let mut state = share.as_ref().map(FactorShare::lock);
+        self.ensure_symbolic(a, state.as_deref_mut());
+        drop(state);
         self.ensure_shared(
-            a,
-            what,
             |state| match key {
                 FactorKey::Steady => state.steady.clone(),
                 FactorKey::Step(h) => {
                     state.steps.iter().find(|(hb, _)| *hb == h).map(|(_, f)| Arc::clone(f))
                 }
             },
-            |factor| factor,
+            |this| this.numeric_phase(a, what),
             |state, f| match key {
                 FactorKey::Steady => state.steady = Some(Arc::clone(f)),
                 FactorKey::Step(h) => state.steps.push((h, Arc::clone(f))),
@@ -367,65 +362,6 @@ fn trbdf2_substep(
     factor.solve_into(rhs, solve, t);
 }
 
-/// One whole implicit tick of a small network, precomputed.
-///
-/// The power is held for the tick, so its TR-BDF2 substeps map the node
-/// temperatures affinely: `T ← T* + Φ·(T − T*)`, where `T* = G⁻¹·b` is
-/// the steady state under the tick's drive (a fixed point of every
-/// substep) and `Φ` composes the substeps. Stored is `P = Φ·C⁻¹`, which
-/// is symmetric because every stage is a rational function of `C⁻¹G`,
-/// so only its lower triangle is kept; a tick applies
-/// `T ← T* + P·(C ⊙ (T − T*))`.
-#[derive(Debug)]
-pub(crate) struct Propagator {
-    /// The lower triangle by rows: `P[i][0..=i]` starts at `i(i+1)/2`.
-    packed: Vec<f64>,
-}
-
-impl Propagator {
-    /// Builds `P` for `substeps` TR-BDF2 substeps of size `h` against
-    /// `factor`: the substeps applied to a unit vector under zero drive
-    /// give one column of `Φ`.
-    fn build(network: &RcNetwork, factor: &LdlFactor, h: f64, substeps: usize) -> Self {
-        let n = network.node_count();
-        let cap = network.capacitance();
-        let zero_drive = vec![0.0; n];
-        let mut work = SubstepWork::default();
-        let mut column = vec![0.0; n];
-        let mut packed = vec![0.0; n * (n + 1) / 2];
-        for j in 0..n {
-            column.fill(0.0);
-            column[j] = 1.0;
-            for _ in 0..substeps {
-                trbdf2_substep(network, factor, h, &zero_drive, &mut column, &mut work);
-            }
-            for i in j..n {
-                packed[i * (i + 1) / 2 + j] = column[i] / cap[j];
-            }
-        }
-        Self { packed }
-    }
-
-    /// `y += P·x`: row `i` of the stored triangle is both the start of
-    /// row `i` and the top of column `i` of the symmetric matrix, so
-    /// each stored entry is read once for both of its positions.
-    // lint: region(alloc-free: propagator-apply)
-    fn mul_add(&self, x: &[f64], y: &mut [f64]) {
-        let mut rest = self.packed.as_slice();
-        for (i, &xi) in x.iter().enumerate() {
-            let (row, tail) = rest.split_at(i + 1);
-            rest = tail;
-            let mut dot = row[i] * xi;
-            for ((&p, &xj), yj) in row[..i].iter().zip(x).zip(y.iter_mut()) {
-                dot += p * xj;
-                *yj += p * xi;
-            }
-            y[i] += dot;
-        }
-    }
-    // lint: end-region
-}
-
 /// Scratch buffers for RK4.
 #[derive(Debug, Clone, Default)]
 struct Rk4Scratch {
@@ -460,8 +396,7 @@ impl ThermalModel {
     #[must_use]
     pub fn new(stack: &Stack3d, config: ThermalConfig) -> Self {
         let network = RcNetwork::build(stack, &config);
-        let n = network.node_count();
-        let temps_k = vec![network.ambient_k(); n];
+        let (n, blocks) = (network.node_count(), network.block_count());
         let stable_dt = RK4_SAFETY * RK4_STABILITY / network.stiffness_bound();
         let implicit = ImplicitState {
             perm_hint: (n >= ND_MIN_DIM).then(|| network.nested_dissection_perm()),
@@ -472,21 +407,28 @@ impl ThermalModel {
             Integrator::ImplicitCn => Rk4Scratch::default(),
         };
         let mut model = Self {
-            temps_k,
+            temps_k: vec![network.ambient_k(); n],
             drive: vec![0.0; n],
-            block_power: vec![0.0; network.block_count()],
+            block_power: vec![0.0; blocks],
             scratch,
             stable_dt,
             integrator: config.integrator,
             implicit,
+            modes: ModalState {
+                active: false,
+                amplitudes: Vec::with_capacity(n),
+                rise: vec![0.0; blocks],
+                origin_powers: vec![0.0; blocks],
+                origin_sink_w: 0.0,
+            },
             network,
         };
-        model.set_block_powers(&vec![0.0; model.block_count()]);
+        model.fill_drive(&vec![0.0; blocks]);
         model
     }
 
-    /// Attaches a cross-model [`FactorShare`]: factorizations and tick
-    /// propagators this model needs are adopted from the share when
+    /// Attaches a cross-model [`FactorShare`]: factorizations and the
+    /// eigenbasis this model needs are adopted from the share when
     /// present and computed into it (exactly once, under the share
     /// lock) when not. Attach before the first factorization — typically
     /// right after construction — so nothing is computed twice.
@@ -500,19 +442,18 @@ impl ThermalModel {
         self.integrator
     }
 
-    /// Numeric sparse factorizations *ensured* so far (steady-state plus
-    /// one per distinct implicit substep size, or on networks of at
-    /// most 128 nodes one per distinct tick length, whose factor builds
-    /// the tick propagator). Stepping repeatedly at the same `dt` — or
-    /// at any recently seen `dt` — must not grow this: factors and
-    /// propagators are cached with LRU eviction, so only a driver
-    /// cycling through more than `MAX_CACHED_FACTORS` (8) distinct step
-    /// sizes ever re-factorizes. With a [`FactorShare`] attached, a
-    /// factor or propagator adopted ready-made counts exactly like one
-    /// computed locally, so the number is identical with or without
-    /// sharing (and independent of which sibling cell computed first);
-    /// the share's own [`FactorShare::factorizations`] counts actual
-    /// computations.
+    /// Numeric sparse factorizations *ensured* so far: the steady-state
+    /// factor plus one per distinct implicit substep size, or, on
+    /// networks of at most 128 nodes, one eigenbasis that serves every
+    /// `dt`. Stepping repeatedly at the same `dt` — or at any recently
+    /// seen `dt` — must not grow this: factors are cached with LRU
+    /// eviction, so only a driver cycling through more than
+    /// `MAX_CACHED_FACTORS` (8) distinct step sizes ever re-factorizes.
+    /// With a [`FactorShare`] attached, a factor or eigenbasis adopted
+    /// ready-made counts exactly like one computed locally, so the
+    /// number is identical with or without sharing (and independent of
+    /// which sibling cell computed first); the share's own
+    /// [`FactorShare::factorizations`] counts actual computations.
     #[must_use]
     pub fn factorization_count(&self) -> usize {
         self.implicit.factor_count
@@ -522,7 +463,9 @@ impl ThermalModel {
     /// fill counts) ensured so far. The pattern of `α·C + G` is
     /// α-independent and matches `G`'s, so however many step sizes and
     /// steady solves a driver mixes, this stays at **1**: only numeric
-    /// phases repeat. Same ensured semantics under sharing as
+    /// phases repeat. The eigenbasis needs none, so a small network
+    /// that never solves for a steady state keeps this at 0. Same
+    /// ensured semantics under sharing as
     /// [`factorization_count`](Self::factorization_count).
     #[must_use]
     pub fn symbolic_analysis_count(&self) -> usize {
@@ -550,6 +493,11 @@ impl ThermalModel {
         self.stable_dt
     }
 
+    /// Whether [`step`](Self::step) runs in the eigenbasis.
+    fn steps_modally(&self) -> bool {
+        self.integrator == Integrator::ImplicitCn && self.temps_k.len() <= MODAL_MAX_DIM
+    }
+
     /// Sets the per-block power dissipation (W) applied from now on.
     ///
     /// # Panics
@@ -557,12 +505,21 @@ impl ThermalModel {
     /// Panics if `powers.len() != block_count()` or any entry is negative
     /// or not finite.
     pub fn set_block_powers(&mut self, powers: &[f64]) {
+        if self.steps_modally() {
+            self.network.check_block_powers(powers);
+        } else {
+            self.fill_drive(powers);
+        }
+        self.block_power.copy_from_slice(powers);
+    }
+
+    /// Makes `drive` the drive of `powers`.
+    fn fill_drive(&mut self, powers: &[f64]) {
         self.network.node_power_into(powers, &mut self.drive);
         let amb = self.network.ambient_k();
         for (b, &g) in self.drive.iter_mut().zip(self.network.ambient_conductance()) {
             *b += g * amb;
         }
-        self.block_power.copy_from_slice(powers);
     }
 
     /// The most recently applied per-block powers (W).
@@ -576,19 +533,20 @@ impl ThermalModel {
     /// Under the default [`Integrator::ImplicitCn`], the interval is
     /// integrated by equal TR-BDF2 substeps of at most 35 ms (a 100 ms
     /// paper tick is three; see `MAX_IMPLICIT_STEP_S` for the
-    /// accuracy/cost trade-off). On networks of at most 128 nodes the
-    /// substeps of each distinct `dt` are composed once, on the first
-    /// step at that `dt`, into a tick propagator `P = Φ·C⁻¹` (the
-    /// factor of `(2+√2)/h·C + G` it is built from is then dropped); a
-    /// tick is one steady solve `T* = G⁻¹·b` against the cached factor
-    /// of `G` plus `T ← T* + P·(C ⊙ (T − T*))`, a dense symmetric
-    /// matvec, and agrees with the substeps to rounding. On larger
-    /// networks each substep is two triangular solves against a cached
-    /// factorization of `(2+√2)/h·C + G`. Factors and
-    /// propagators are cached per step size with LRU eviction; stepping
-    /// again at the same (or any recently seen) `dt` never
-    /// re-factorizes. Under [`Integrator::ExplicitRk4`], classic RK4
-    /// with stability-bounded substeps integrates the interval.
+    /// accuracy/cost trade-off). Networks of at most 128 nodes step in
+    /// their eigenbasis `C^-1/2·G·C^-1/2 = V·Λ·Vᵀ`, decomposed once, on
+    /// the first step, for every `dt`: the substeps of a tick map each
+    /// mode `x_k` to `r_k·x_k + s_k·(B_k·p)`, where `r_k` is their
+    /// stability function at `λ_k`, `s_k = (1 − r_k)/λ_k` and
+    /// `B = Vᵀ·C^-1/2·Wᵀ` injects the block powers `p`. A tick is one
+    /// pass over the n × blocks matrix `B` that also yields the block
+    /// temperatures, and agrees with the substeps to rounding. On
+    /// larger networks each substep is two triangular solves against a
+    /// cached factorization of `(2+√2)/h·C + G`, cached per step size
+    /// with LRU eviction; stepping again at the same (or any recently
+    /// seen) `dt` never re-factorizes. Under
+    /// [`Integrator::ExplicitRk4`], classic RK4 with stability-bounded
+    /// substeps integrates the interval.
     ///
     /// # Panics
     ///
@@ -606,9 +564,8 @@ impl ThermalModel {
             Integrator::ImplicitCn => {
                 let substeps = (dt / MAX_IMPLICIT_STEP_S).ceil().max(1.0) as usize;
                 let h = dt / substeps as f64;
-                if self.temps_k.len() <= PROPAGATOR_MAX_DIM {
-                    let slot = self.ensure_propagator(dt, h, substeps);
-                    self.propagate(slot);
+                if self.steps_modally() {
+                    self.modal_step(dt, h, substeps);
                 } else {
                     let slot = self.ensure_step_factor(h);
                     let ImplicitState { steps, work, .. } = &mut self.implicit;
@@ -637,21 +594,20 @@ impl ThermalModel {
         }
         let system = self.network.shifted_system(TRBDF2_SHIFT / h);
         let factored = self.implicit.factor_shared(
-            Cow::Owned(system),
+            &system,
             "implicit thermal system",
             FactorKey::Step(h_bits),
         );
         self.implicit.steps.insert(h_bits, factored)
     }
 
-    /// Ensures the factor of `G` the steady solves and the propagator
-    /// tick use.
+    /// Ensures the factor of `G` the steady solves use.
     fn ensure_steady_factor(&mut self) {
         if self.implicit.steady.is_none() {
             // `G` shares the shifted systems' pattern (full structural
             // diagonal), so this also reuses the one symbolic analysis.
             let factored = self.implicit.factor_shared(
-                Cow::Borrowed(self.network.conductance()),
+                self.network.conductance(),
                 "conductance matrix",
                 FactorKey::Steady,
             );
@@ -659,48 +615,45 @@ impl ThermalModel {
         }
     }
 
-    /// Returns the cache slot holding the propagator of a `dt` tick
-    /// (`substeps` substeps of size `h`), building it on a miss from a
-    /// factorization of `(TRBDF2_SHIFT/h)·C + G` that is dropped once
-    /// the propagator exists. Also ensures the steady factor the tick
-    /// needs.
-    fn ensure_propagator(&mut self, dt: f64, h: f64, substeps: usize) -> usize {
-        let dt_bits = dt.to_bits();
-        if let Some(slot) = self.implicit.propagators.touch(dt_bits) {
-            return slot;
+    /// Ensures the eigenbasis, adopted from the share or built (once,
+    /// under the share lock) on the first modal step.
+    fn ensure_eigenbasis(&mut self) {
+        if self.implicit.basis.is_none() {
+            let network = &self.network;
+            let basis = self.implicit.ensure_shared(
+                |state| state.eigenbasis.clone(),
+                |_| {
+                    let _span = Span::enter("thermal.eigenbasis_build_us");
+                    Eigenbasis::build(network)
+                },
+                |state, basis| state.eigenbasis = Some(Arc::clone(basis)),
+            );
+            self.implicit.basis = Some(basis);
         }
-        self.ensure_steady_factor();
-        let network = &self.network;
-        let system = network.shifted_system(TRBDF2_SHIFT / h);
-        let built = self.implicit.ensure_shared(
-            Cow::Owned(system),
-            "implicit thermal system",
-            |state| {
-                state.propagators.iter().find(|(k, _)| *k == dt_bits).map(|(_, p)| Arc::clone(p))
-            },
-            |factor| {
-                let _span = Span::enter("thermal.propagator_build_us");
-                Propagator::build(network, &factor, h, substeps)
-            },
-            |state, p| state.propagators.push((dt_bits, Arc::clone(p))),
-        );
-        self.implicit.propagators.insert(dt_bits, built)
     }
 
-    /// One tick through the propagator in `slot`:
-    /// `T ← T* + P·(C ⊙ (T − T*))` with `T* = G⁻¹·b`.
-    fn propagate(&mut self, slot: usize) {
-        let n = self.temps_k.len();
-        let cap = self.network.capacitance();
-        let ImplicitState { propagators, steady, work, target, .. } = &mut self.implicit;
-        target.resize(n, 0.0);
-        let steady = steady.as_ref().expect("ensured with the propagator");
-        steady.solve_into(&self.drive, &mut work.solve, target);
-        for ((t, &s), &c) in self.temps_k.iter_mut().zip(target.iter()).zip(cap) {
-            *t = c * (*t - s);
+    /// One `dt` tick of `substeps` substeps of size `h` in the
+    /// eigenbasis; the first converts the held steady state to modal
+    /// amplitudes.
+    fn modal_step(&mut self, dt: f64, h: f64, substeps: usize) {
+        self.ensure_eigenbasis();
+        let ImplicitState { basis, gains, .. } = &mut self.implicit;
+        let basis = basis.as_deref().expect("ensured above");
+        let dt_bits = dt.to_bits();
+        let slot = match gains.touch(dt_bits) {
+            Some(slot) => slot,
+            None => gains.insert(dt_bits, basis.gains(h, substeps)),
+        };
+        let modes = &mut self.modes;
+        if !modes.active {
+            basis.steady_amplitudes_into(
+                &modes.origin_powers,
+                modes.origin_sink_w,
+                &mut modes.amplitudes,
+            );
+            modes.active = true;
         }
-        propagators.get(slot).mul_add(&self.temps_k, target);
-        std::mem::swap(&mut self.temps_k, target);
+        basis.tick(gains.get(slot), &self.block_power, &mut modes.amplitudes, &mut modes.rise);
     }
 
     fn rk4_substep(&mut self, h: f64) {
@@ -782,11 +735,16 @@ impl ThermalModel {
     /// conductance matrix is not positive definite (indicates a
     /// non-physical configuration).
     pub fn initialize_steady_state(&mut self, powers: &[f64]) -> Vec<f64> {
-        self.set_block_powers(powers);
+        self.fill_drive(powers);
+        self.block_power.copy_from_slice(powers);
         self.ensure_steady_factor();
         let ImplicitState { steady, work, .. } = &mut self.implicit;
         let steady = steady.as_ref().expect("ensured above");
         steady.solve_into(&self.drive, &mut work.solve, &mut self.temps_k);
+        let modes = &mut self.modes;
+        modes.origin_powers.copy_from_slice(powers);
+        modes.origin_sink_w = 0.0;
+        modes.active = false;
         self.block_temperatures_c()
     }
 
@@ -805,11 +763,14 @@ impl ThermalModel {
     /// per-tick allocation.
     pub fn block_temperatures_c_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(
-            (0..self.network.block_count()).map(|site| {
+        if self.modes.active {
+            let amb = self.network.ambient_k();
+            out.extend(self.modes.rise.iter().map(|&rise| celsius_from_kelvin(amb + rise)));
+        } else {
+            out.extend((0..self.network.block_count()).map(|site| {
                 celsius_from_kelvin(self.network.block_temperature(site, &self.temps_k))
-            }),
-        );
+            }));
+        }
     }
 
     /// Temperature of a single block in °C.
@@ -819,25 +780,49 @@ impl ThermalModel {
     /// Panics if `site` is out of range.
     #[must_use]
     pub fn block_temperature_c(&self, site: usize) -> f64 {
-        celsius_from_kelvin(self.network.block_temperature(site, &self.temps_k))
+        if self.modes.active {
+            celsius_from_kelvin(self.network.ambient_k() + self.modes.rise[site])
+        } else {
+            celsius_from_kelvin(self.network.block_temperature(site, &self.temps_k))
+        }
+    }
+
+    /// The eigenbasis while it holds the state.
+    fn active_basis(&self) -> Option<&Eigenbasis> {
+        self.implicit.basis.as_deref().filter(|_| self.modes.active)
     }
 
     /// Heat-sink temperature in °C.
     #[must_use]
     pub fn sink_temperature_c(&self) -> f64 {
-        celsius_from_kelvin(self.temps_k[self.network.sink_node()])
+        celsius_from_kelvin(match self.active_basis() {
+            Some(basis) => self.network.ambient_k() + basis.sink_rise(&self.modes.amplitudes),
+            None => self.temps_k[self.network.sink_node()],
+        })
     }
 
     /// Heat-spreader temperature in °C.
     #[must_use]
     pub fn spreader_temperature_c(&self) -> f64 {
-        celsius_from_kelvin(self.temps_k[self.network.spreader_node()])
+        celsius_from_kelvin(match self.active_basis() {
+            Some(basis) => self.network.ambient_k() + basis.spreader_rise(&self.modes.amplitudes),
+            None => self.temps_k[self.network.spreader_node()],
+        })
     }
 
-    /// Raw node temperatures in kelvin (cells first, then spreader, sink).
+    /// Node temperatures in kelvin (cells first, then spreader, sink).
+    ///
+    /// A diagnostic: once a network of at most 128 nodes has stepped,
+    /// its state is modal, and every call reconstructs the node
+    /// temperatures by running the whole eigendecomposition again.
     #[must_use]
-    pub fn node_temperatures_k(&self) -> &[f64] {
-        &self.temps_k
+    pub fn node_temperatures_k(&self) -> Vec<f64> {
+        if !self.modes.active {
+            return self.temps_k.clone();
+        }
+        let amb = self.network.ambient_k();
+        let rise = modal::node_rise(&self.network, &self.modes.amplitudes);
+        rise.into_iter().map(|r| amb + r).collect()
     }
 
     /// Overrides the state to a uniform temperature in °C (useful for
@@ -845,6 +830,13 @@ impl ThermalModel {
     pub fn reset_uniform(&mut self, celsius: f64) {
         let k = kelvin_from_celsius(celsius);
         self.temps_k.fill(k);
+        // G·(k·1) differs from G·(T_amb·1) only by the ambient current
+        // through the sink.
+        let sink = self.network.sink_node();
+        let sink_w = self.network.ambient_conductance()[sink] * (k - self.network.ambient_k());
+        self.modes.origin_powers.fill(0.0);
+        self.modes.origin_sink_w = sink_w;
+        self.modes.active = false;
     }
 
     /// Total power currently injected, in W.
@@ -1024,6 +1016,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must be non-negative")]
+    fn modal_models_still_reject_negative_powers() {
+        let (stack, mut model) = small_model(Experiment::Exp1);
+        let mut p = core_power_vector(&stack, 1.0);
+        p[0] = -1.0;
+        model.set_block_powers(&p);
+    }
+
+    #[test]
     fn symbolic_analysis_runs_once_across_step_sizes_and_steady() {
         let (stack, mut model) = small_model(Experiment::Exp3);
         let p = core_power_vector(&stack, 2.0);
@@ -1033,8 +1034,8 @@ mod tests {
         }
         assert_eq!(
             model.factorization_count(),
-            4,
-            "steady + one numeric factorization per distinct substep size"
+            2,
+            "steady + one eigenbasis that serves every step size"
         );
         assert_eq!(
             model.symbolic_analysis_count(),
@@ -1044,7 +1045,7 @@ mod tests {
         // Repeating known step sizes grows neither counter.
         model.step(0.1);
         model.initialize_steady_state(&p);
-        assert_eq!(model.factorization_count(), 4);
+        assert_eq!(model.factorization_count(), 2);
         assert_eq!(model.symbolic_analysis_count(), 1);
     }
 
@@ -1076,12 +1077,13 @@ mod tests {
             m.step(0.05);
         }
 
-        // One analysis and one factor per key across BOTH models …
+        // One analysis, one steady factor and one eigenbasis across
+        // BOTH models …
         assert_eq!(share.symbolic_analyses(), 1);
-        assert_eq!(share.factorizations(), 3, "steady + two distinct substep sizes");
-        assert_eq!(share.factors_cached(), 3);
-        // … the second model adopted all three.
-        assert_eq!(share.hits(), 3);
+        assert_eq!(share.factorizations(), 2, "steady + one eigenbasis for both step sizes");
+        assert_eq!(share.factors_cached(), 2);
+        // … the second model adopted both.
+        assert_eq!(share.hits(), 2);
         // Ensured per-model counters are identical to the unshared ones.
         for m in [&first, &second] {
             assert_eq!(m.factorization_count(), lone.factorization_count());
@@ -1090,7 +1092,7 @@ mod tests {
         // Adoption changes nothing numerically: bit-identical state.
         let reference = lone.node_temperatures_k();
         for m in [&first, &second] {
-            for (a, b) in m.node_temperatures_k().iter().zip(reference) {
+            for (a, b) in m.node_temperatures_k().iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -1107,121 +1109,168 @@ mod tests {
         }
     }
 
-    /// The factor of a 100 ms tick's substep system, its substep size
-    /// and count, computed independently of the model's caches.
-    fn tick_substeps(model: &ThermalModel) -> (LdlFactor, f64, usize) {
-        let substeps = (0.1 / MAX_IMPLICIT_STEP_S).ceil() as usize;
-        let h = 0.1 / substeps as f64;
-        let system = model.network.shifted_system(TRBDF2_SHIFT / h);
-        (crate::sparse::factor::factor(&system).expect("SPD"), h, substeps)
+    /// A 100 ms tick as the model's sparse TR-BDF2 substeps, computed
+    /// independently of the model's caches and state: node temperatures
+    /// and the drive the test itself derives from the block powers.
+    struct Substeps {
+        network: RcNetwork,
+        factor: LdlFactor,
+        h: f64,
+        substeps: usize,
+        temps_k: Vec<f64>,
+        work: SubstepWork,
+    }
+
+    impl Substeps {
+        fn new(network: &RcNetwork, temps_k: Vec<f64>) -> Self {
+            let substeps = (0.1 / MAX_IMPLICIT_STEP_S).ceil() as usize;
+            let h = 0.1 / substeps as f64;
+            let system = network.shifted_system(TRBDF2_SHIFT / h);
+            let factor = crate::sparse::factor::factor(&system).expect("SPD");
+            let network = network.clone();
+            Self { network, factor, h, substeps, temps_k, work: SubstepWork::default() }
+        }
+
+        fn tick(&mut self, powers: &[f64]) {
+            let net = &self.network;
+            let drive: Vec<f64> = net
+                .node_power(powers)
+                .iter()
+                .zip(net.ambient_conductance())
+                .map(|(&p, &g)| p + g * net.ambient_k())
+                .collect();
+            for _ in 0..self.substeps {
+                trbdf2_substep(
+                    net,
+                    &self.factor,
+                    self.h,
+                    &drive,
+                    &mut self.temps_k,
+                    &mut self.work,
+                );
+            }
+        }
+
+        /// The largest gap, K, between the model's block, sink and
+        /// spreader temperatures and the substeps'.
+        fn gap(&self, model: &ThermalModel) -> f64 {
+            let net = &self.network;
+            let kelvin = |c: f64| kelvin_from_celsius(c);
+            let mut worst =
+                (kelvin(model.sink_temperature_c()) - self.temps_k[net.sink_node()]).abs().max(
+                    (kelvin(model.spreader_temperature_c()) - self.temps_k[net.spreader_node()])
+                        .abs(),
+                );
+            for (site, t) in model.block_temperatures_c().into_iter().enumerate() {
+                let want = net.block_temperature(site, &self.temps_k);
+                worst = worst.max((kelvin(t) - want).abs());
+                worst = worst.max((kelvin(model.block_temperature_c(site)) - want).abs());
+            }
+            worst
+        }
+
+        /// The largest gap, K, between the model's reconstructed node
+        /// temperatures and the substeps'.
+        fn node_gap(&self, model: &ThermalModel) -> f64 {
+            let nodes = model.node_temperatures_k();
+            nodes.iter().zip(&self.temps_k).fold(0.0, |m, (a, b)| m.max((a - b).abs()))
+        }
     }
 
     #[test]
-    fn propagator_tick_matches_the_substeps_it_composes() {
+    fn modal_tick_matches_the_substeps_it_composes() {
         for exp in Experiment::ALL {
             for grid in [4, 6] {
                 let stack = exp.stack();
                 let cfg = ThermalConfig::paper_default().with_grid(grid, grid);
                 let mut model = ThermalModel::new(&stack, cfg);
-                model.initialize_steady_state(&vec![0.5; stack.num_blocks()]);
-                let (factor, h, substeps) = tick_substeps(&model);
-                let mut reference = model.temps_k.clone();
-                let mut work = SubstepWork::default();
+                let mut powers = vec![0.5; stack.num_blocks()];
+                model.initialize_steady_state(&powers);
+                let mut reference = Substeps::new(&model.network, model.node_temperatures_k());
                 let mut draw = uniform(0x5EED ^ grid as u64);
-                let mut powers = vec![0.0; stack.num_blocks()];
-                let mut worst: f64 = 0.0;
-                for _ in 0..3000 {
+                let (mut worst, mut worst_node): (f64, f64) = (0.0, 0.0);
+                for tick in 1..=3000 {
                     powers.iter_mut().for_each(|p| *p = 4.0 * draw());
                     model.set_block_powers(&powers);
                     model.step(0.1);
-                    for _ in 0..substeps {
-                        let drive = &model.drive;
-                        trbdf2_substep(
-                            &model.network,
-                            &factor,
-                            h,
-                            drive,
-                            &mut reference,
-                            &mut work,
-                        );
-                    }
-                    for (a, b) in model.temps_k.iter().zip(&reference) {
-                        worst = worst.max((a - b).abs());
+                    reference.tick(&powers);
+                    worst = worst.max(reference.gap(&model));
+                    if tick % 1000 == 0 {
+                        worst_node = worst_node.max(reference.node_gap(&model));
                     }
                 }
                 assert!(worst <= 1e-9, "{exp} {grid}x{grid}: the tick is {worst:e} K off");
+                assert!(worst_node <= 1e-9, "{exp} {grid}x{grid}: nodes are {worst_node:e} K off");
             }
         }
     }
 
     #[test]
-    fn propagator_is_the_lower_triangle_of_a_symmetric_matrix() {
+    fn modal_state_starts_from_ambient_steady_and_uniform_states() {
         for exp in Experiment::ALL {
-            let (_, model) = small_model(exp);
-            let (net, n) = (&model.network, model.network.node_count());
-            let (factor, h, substeps) = tick_substeps(&model);
-            // Column j of Φ·C⁻¹: the substeps applied to e_j, over C_j.
-            let (zero, mut work) = (vec![0.0; n], SubstepWork::default());
-            let mut full = vec![vec![0.0; n]; n];
-            for j in 0..n {
-                let mut column = vec![0.0; n];
-                column[j] = 1.0;
-                for _ in 0..substeps {
-                    trbdf2_substep(net, &factor, h, &zero, &mut column, &mut work);
+            let (stack, mut model) = small_model(exp);
+            let mut draw = uniform(0xF1257 ^ exp as u64);
+            let mut powers = vec![0.0; stack.num_blocks()];
+            let steady = core_power_vector(&stack, 2.5);
+            // Ambient after `new`, a steady state, and a uniform 80 °C,
+            // each entered after modal steps have run.
+            for start in 0..3 {
+                match start {
+                    0 => {}
+                    1 => {
+                        model.initialize_steady_state(&steady);
+                    }
+                    _ => model.reset_uniform(80.0),
                 }
-                for (i, &phi) in column.iter().enumerate() {
-                    full[i][j] = phi / net.capacitance()[j];
+                assert!(!model.modes.active, "{exp}: the node state is held until a step");
+                let mut reference = Substeps::new(&model.network, model.node_temperatures_k());
+                let mut worst: f64 = 0.0;
+                for _ in 0..50 {
+                    powers.iter_mut().for_each(|p| *p = 4.0 * draw());
+                    model.set_block_powers(&powers);
+                    model.step(0.1);
+                    reference.tick(&powers);
+                    worst = worst.max(reference.gap(&model));
                 }
+                worst = worst.max(reference.node_gap(&model));
+                assert!(worst <= 1e-9, "{exp} start {start}: {worst:e} K off the substeps");
             }
-            let scale = full.iter().flatten().fold(0.0_f64, |m, &a| m.max(a.abs()));
-            for (i, row) in full.iter().enumerate() {
-                for (j, &a) in row[..i].iter().enumerate() {
-                    let b = full[j][i];
-                    assert!((a - b).abs() <= 1e-12 * scale, "{exp}: P[{i}][{j}] = {a:e} vs {b:e}");
-                }
-            }
-            // The stored triangle is exactly the lower half, row by row.
-            let built = Propagator::build(net, &factor, h, substeps);
-            let lower: Vec<u64> = full
-                .iter()
-                .enumerate()
-                .flat_map(|(i, row)| &row[..=i])
-                .map(|a| a.to_bits())
-                .collect();
-            let packed: Vec<u64> = built.packed.iter().map(|p| p.to_bits()).collect();
-            assert_eq!(packed, lower, "{exp}");
         }
     }
 
     #[test]
-    fn propagator_is_built_on_the_first_step_and_only_for_small_networks() {
+    fn eigenbasis_is_built_on_the_first_step_and_only_for_small_networks() {
         let stack = Experiment::Exp2.stack();
         let p = core_power_vector(&stack, 2.0);
-        for (grid, propagated) in [(4, true), (8, false)] {
+        for (grid, modal) in [(4, true), (8, false)] {
             let cfg = ThermalConfig::paper_default().with_grid(grid, grid);
             let mut model = ThermalModel::new(&stack, cfg);
-            assert_eq!(model.network.node_count() <= PROPAGATOR_MAX_DIM, propagated);
+            assert_eq!(model.network.node_count() <= MODAL_MAX_DIM, modal);
+            assert!(model.implicit.basis.is_none(), "{grid}x{grid}: built by new");
             model.initialize_steady_state(&p);
-            assert!(model.implicit.propagators.0.is_empty(), "{grid}x{grid}: built before a step");
+            assert!(model.implicit.basis.is_none(), "{grid}x{grid}: built by the steady solve");
             for dt in [0.1, 0.1, 0.05] {
                 model.step(dt);
             }
-            let (built, factors) =
-                (model.implicit.propagators.0.len(), model.implicit.steps.0.len());
-            if propagated {
-                assert_eq!(built, 2, "one propagator per distinct dt");
-                assert_eq!(factors, 0, "step factors are released once their propagator exists");
+            let (built, factors) = (model.implicit.basis.is_some(), model.implicit.steps.0.len());
+            if modal {
+                assert!(built && model.modes.active, "the first step builds the eigenbasis");
+                assert_eq!(factors, 0, "no step factor on the modal path");
+                assert_eq!(model.implicit.gains.0.len(), 2, "one set of gains per distinct dt");
+                assert_eq!(model.factorization_count(), 2, "steady + one eigenbasis for both dt");
             } else {
-                assert_eq!((built, factors), (0, 2), "130 nodes stay on the sparse substeps");
+                assert!(!built, "130 nodes stay on the sparse substeps");
+                assert_eq!(factors, 2);
+                assert_eq!(model.factorization_count(), 3, "steady + one factor per dt");
             }
-            assert_eq!(model.factorization_count(), 3, "{grid}x{grid}: steady + one per dt");
         }
         // The explicit integrator never builds one either.
         let cfg = ThermalConfig::paper_default().with_grid(4, 4);
         let mut rk4 = ThermalModel::new(&stack, cfg.with_integrator(Integrator::ExplicitRk4));
         rk4.set_block_powers(&p);
         rk4.step(0.1);
-        assert!(rk4.implicit.propagators.0.is_empty() && rk4.implicit.steady.is_none());
+        assert!(rk4.implicit.basis.is_none() && rk4.implicit.steady.is_none());
+        assert!(!rk4.modes.active);
     }
 
     #[test]

@@ -278,18 +278,30 @@ impl RcNetwork {
     /// See [`Self::node_power`]; additionally panics if `out` has the
     /// wrong length.
     pub fn node_power_into(&self, block_powers: &[f64], out: &mut [f64]) {
+        self.check_block_powers(block_powers);
+        assert_eq!(out.len(), self.node_count(), "output length mismatch");
+        out.fill(0.0);
+        for (&pw, nodes) in block_powers.iter().zip(&self.block_nodes) {
+            for &(node, w) in nodes {
+                out[node] += pw * w;
+            }
+        }
+    }
+
+    /// Checks per-block powers (W) the way [`Self::node_power`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_powers.len() != block_count()` or any power is
+    /// negative/not finite.
+    pub(crate) fn check_block_powers(&self, block_powers: &[f64]) {
         assert_eq!(
             block_powers.len(),
             self.block_nodes.len(),
             "expected one power entry per block"
         );
-        assert_eq!(out.len(), self.node_count(), "output length mismatch");
-        out.fill(0.0);
         for (bi, &pw) in block_powers.iter().enumerate() {
             assert!(pw.is_finite() && pw >= 0.0, "block {bi} power {pw} must be non-negative");
-            for &(node, w) in &self.block_nodes[bi] {
-                out[node] += pw * w;
-            }
         }
     }
 

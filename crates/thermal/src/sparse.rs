@@ -1,14 +1,14 @@
-//! Minimal sparse linear algebra: symmetric CSR matrices, a
-//! Jacobi-preconditioned conjugate-gradient solver, and a sparse LDLᵀ
-//! direct factorization ([`factor`]).
+//! Minimal sparse linear algebra: symmetric CSR matrices and a sparse
+//! LDLᵀ direct factorization ([`factor`]).
 //!
 //! The thermal network's conductance matrix is a weighted graph Laplacian
 //! plus positive diagonal terms for the ambient connection, hence symmetric
-//! positive definite — exactly the setting where CG and Cholesky-style
+//! positive definite — exactly the setting where Cholesky-style
 //! factorizations shine and an external linear-algebra dependency would be
-//! overkill. Iterative CG remains available for huge or one-off systems;
-//! the [`factor`] module provides the pre-factored direct path the
-//! transient integrator leans on.
+//! overkill. The [`factor`] module provides the pre-factored direct path
+//! the transient integrator and the steady-state solve lean on; the
+//! tests check it against an iterative conjugate-gradient solver that
+//! exists only in test builds.
 
 pub mod factor;
 
@@ -254,96 +254,104 @@ impl fmt::Display for CsrMatrix {
     }
 }
 
-/// Outcome of a conjugate-gradient solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgSolution {
-    /// The solution vector.
-    pub x: Vec<f64>,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Final residual 2-norm relative to the right-hand side norm.
-    pub relative_residual: f64,
-    /// Whether the tolerance was reached before the iteration cap.
-    pub converged: bool,
-}
+/// Jacobi-preconditioned conjugate gradients: the iterative reference
+/// the direct solver's tests compare against.
+#[cfg(test)]
+pub(crate) mod cg {
+    use super::CsrMatrix;
 
-/// Solves `A·x = b` for symmetric positive-definite `A` using
-/// Jacobi-preconditioned conjugate gradients.
-///
-/// `x0` seeds the iteration (pass the previous solution when solving a
-/// sequence of similar systems).
-///
-/// # Panics
-///
-/// Panics if dimensions disagree or the matrix has a non-positive diagonal
-/// entry (not SPD).
-#[must_use]
-pub fn solve_cg(a: &CsrMatrix, b: &[f64], x0: &[f64], tol: f64, max_iter: usize) -> CgSolution {
-    let n = a.dim();
-    assert_eq!(b.len(), n, "rhs length mismatch");
-    assert_eq!(x0.len(), n, "x0 length mismatch");
-    let diag = a.diagonal();
-    for (i, &d) in diag.iter().enumerate() {
-        assert!(d > 0.0, "diagonal entry {i} is {d}; matrix not SPD");
-    }
-    let inv_diag: Vec<f64> = diag.iter().map(|&d| 1.0 / d).collect();
-
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return CgSolution {
-            x: vec![0.0; n],
-            iterations: 0,
-            relative_residual: 0.0,
-            converged: true,
-        };
+    /// Outcome of a conjugate-gradient solve.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CgSolution {
+        /// The solution vector.
+        pub x: Vec<f64>,
+        /// Iterations performed.
+        pub iterations: usize,
+        /// Final residual 2-norm relative to the right-hand side norm.
+        pub relative_residual: f64,
+        /// Whether the tolerance was reached before the iteration cap.
+        pub converged: bool,
     }
 
-    let mut x = x0.to_vec();
-    let mut r = vec![0.0; n];
-    a.mul_into(&x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, di)| ri * di).collect();
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
+    /// Solves `A·x = b` for symmetric positive-definite `A` using
+    /// Jacobi-preconditioned conjugate gradients.
+    ///
+    /// `x0` seeds the iteration (pass the previous solution when solving a
+    /// sequence of similar systems).
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions disagree or the matrix has a non-positive diagonal
+    /// entry (not SPD).
+    #[must_use]
+    pub fn solve_cg(a: &CsrMatrix, b: &[f64], x0: &[f64], tol: f64, max_iter: usize) -> CgSolution {
+        let n = a.dim();
+        assert_eq!(b.len(), n, "rhs length mismatch");
+        assert_eq!(x0.len(), n, "x0 length mismatch");
+        let diag = a.diagonal();
+        for (i, &d) in diag.iter().enumerate() {
+            assert!(d > 0.0, "diagonal entry {i} is {d}; matrix not SPD");
+        }
+        let inv_diag: Vec<f64> = diag.iter().map(|&d| 1.0 / d).collect();
 
-    for it in 0..max_iter {
+        let b_norm = norm2(b);
+        if b_norm == 0.0 {
+            return CgSolution {
+                x: vec![0.0; n],
+                iterations: 0,
+                relative_residual: 0.0,
+                converged: true,
+            };
+        }
+
+        let mut x = x0.to_vec();
+        let mut r = vec![0.0; n];
+        a.mul_into(&x, &mut r);
+        for i in 0..n {
+            r[i] = b[i] - r[i];
+        }
+        let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, di)| ri * di).collect();
+        let mut p = z.clone();
+        let mut rz = dot(&r, &z);
+        let mut ap = vec![0.0; n];
+
+        for it in 0..max_iter {
+            let res = norm2(&r) / b_norm;
+            if res <= tol {
+                return CgSolution { x, iterations: it, relative_residual: res, converged: true };
+            }
+            a.mul_into(&p, &mut ap);
+            let alpha = rz / dot(&p, &ap);
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+            }
+            for i in 0..n {
+                z[i] = r[i] * inv_diag[i];
+            }
+            let rz_new = dot(&r, &z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for i in 0..n {
+                p[i] = z[i] + beta * p[i];
+            }
+        }
         let res = norm2(&r) / b_norm;
-        if res <= tol {
-            return CgSolution { x, iterations: it, relative_residual: res, converged: true };
-        }
-        a.mul_into(&p, &mut ap);
-        let alpha = rz / dot(&p, &ap);
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        for i in 0..n {
-            z[i] = r[i] * inv_diag[i];
-        }
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
+        CgSolution { x, iterations: max_iter, relative_residual: res, converged: res <= tol }
     }
-    let res = norm2(&r) / b_norm;
-    CgSolution { x, iterations: max_iter, relative_residual: res, converged: res <= tol }
-}
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
 
-fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
+    fn norm2(v: &[f64]) -> f64 {
+        dot(v, v).sqrt()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::cg::solve_cg;
     use super::*;
 
     fn laplacian_chain(n: usize, g: f64, g_amb: f64) -> CsrMatrix {

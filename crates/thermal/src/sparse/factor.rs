@@ -442,7 +442,8 @@ pub fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::{solve_cg, TripletMatrix};
+    use crate::sparse::cg::solve_cg;
+    use crate::sparse::TripletMatrix;
 
     fn laplacian_chain(n: usize, g: f64, g_amb: f64) -> CsrMatrix {
         let mut t = TripletMatrix::new(n);
@@ -488,6 +489,51 @@ mod tests {
         let r = a.mul(&x);
         for (ri, bi) in r.iter().zip(&b) {
             assert!((ri - bi).abs() < 1e-9, "residual {ri} vs {bi}");
+        }
+    }
+
+    mod random_systems {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        proptest! {
+            #[test]
+            fn ldl_agrees_with_cg_on_random_spd_systems(
+                diag in prop::collection::vec(0.5f64..5.0, 3..10),
+                seed in 0u64..100,
+            ) {
+                // A random symmetric diagonally dominant matrix (hence
+                // SPD), built the way the thermal network is:
+                // conductances between node pairs plus grounded terms.
+                let n = diag.len();
+                let mut t = TripletMatrix::new(n);
+                let mut s = seed;
+                let mut next = || {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (s >> 33) as f64 / (1u64 << 31) as f64
+                };
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        if next() > 0.5 {
+                            t.add_conductance(i, j, 0.1 + next());
+                        }
+                    }
+                }
+                for (i, &d) in diag.iter().enumerate() {
+                    t.add_grounded_conductance(i, d);
+                }
+                let a = t.to_csr();
+                let b: Vec<f64> = (0..n).map(|_| next() * 2.0 - 1.0).collect();
+                let cg = solve_cg(&a, &b, &vec![0.0; n], 1e-10, 500);
+                for (ri, bi) in a.mul(&cg.x).iter().zip(&b) {
+                    prop_assert!((ri - bi).abs() < 1e-6, "CG residual too large");
+                }
+                let direct = factor(&a).expect("random SPD system factors").solve(&b);
+                for (xi, yi) in direct.iter().zip(&cg.x) {
+                    prop_assert!((xi - yi).abs() < 1e-5, "direct {xi} vs CG {yi}");
+                }
+            }
         }
     }
 

@@ -10,7 +10,7 @@ use therm3d_metrics::{
 };
 use therm3d_policies::{Lfsr16, MultiQueue};
 use therm3d_thermal::sparse::factor::factor;
-use therm3d_thermal::sparse::{solve_cg, TripletMatrix};
+use therm3d_thermal::sparse::TripletMatrix;
 use therm3d_thermal::{ThermalConfig, ThermalModel};
 use therm3d_workload::{Benchmark, Job, TraceConfig};
 
@@ -177,7 +177,7 @@ proptest! {
     }
 
     #[test]
-    fn cg_solves_random_spd_systems(
+    fn ldl_solves_random_spd_systems(
         diag in prop::collection::vec(0.5f64..5.0, 3..10),
         seed in 0u64..100,
     ) {
@@ -204,21 +204,13 @@ proptest! {
         let a = t.to_csr();
         prop_assert!(a.is_symmetric(1e-12));
         let b: Vec<f64> = (0..n).map(|_| next() * 2.0 - 1.0).collect();
-        let x0 = vec![0.0; n];
-        let sol = solve_cg(&a, &b, &x0, 1e-10, 500);
-        let r = a.mul(&sol.x);
-        for (ri, bi) in r.iter().zip(&b) {
-            prop_assert!((ri - bi).abs() < 1e-6, "CG residual too large");
-        }
-        // The direct LDL^T path must agree with CG on the same system
-        // (it backs both the implicit integrator and steady-state init).
+        // The direct LDL^T path backs the implicit integrator and
+        // steady-state init; its agreement with conjugate gradients is
+        // checked inside therm3d_thermal, where CG lives as test code.
         let direct = factor(&a).expect("random SPD system factors").solve(&b);
         let r = a.mul(&direct);
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-8, "LDL^T residual too large");
-        }
-        for (xi, yi) in direct.iter().zip(&sol.x) {
-            prop_assert!((xi - yi).abs() < 1e-5, "direct {xi} vs CG {yi}");
         }
     }
 
