@@ -1,14 +1,17 @@
 //! Ablation: block-level vs grid thermal model — accuracy and cost.
 //!
 //! The paper uses HotSpot's grid model (Section IV-C); HotSpot also
-//! offers a block-granularity model. This study quantifies what the grid
-//! resolution buys: per-block steady-state disagreement and wall-clock
-//! cost per transient step, across grid resolutions.
+//! offers a block-granularity model. Both are RC networks stepped by the
+//! one [`ThermalModel`]: the grid rows over [`RcNetwork::build`] at
+//! increasing resolution, the block-level row over
+//! [`RcNetwork::build_blocks`]. This study quantifies what the grid
+//! resolution buys: per-block steady-state disagreement with a 16×16
+//! reference and wall-clock cost per 100 ms transient step.
 
 use std::time::Instant;
 
 use therm3d_floorplan::{Experiment, UnitKind};
-use therm3d_thermal::{BlockThermalModel, ThermalConfig, ThermalModel};
+use therm3d_thermal::{RcNetwork, ThermalConfig, ThermalModel};
 
 fn block_powers(exp: Experiment) -> Vec<f64> {
     exp.stack()
@@ -61,7 +64,9 @@ fn main() {
             );
         }
 
-        let mut b = BlockThermalModel::new(&stack, ThermalConfig::paper_default());
+        let cfg = ThermalConfig::paper_default();
+        let mut b =
+            ThermalModel::from_network(RcNetwork::build_blocks(&stack, &cfg), cfg.integrator);
         let t = b.initialize_steady_state(&powers);
         let peak = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let maxerr = t.iter().zip(&t_ref).map(|(a, c)| (a - c).abs()).fold(0.0, f64::max);
@@ -74,7 +79,7 @@ fn main() {
         println!(
             "{:<14} {:>7} {:>9.1} {:>10.2} {:>12.1}",
             "block-level",
-            b.node_count(),
+            b.network().node_count(),
             peak,
             maxerr,
             us

@@ -23,19 +23,21 @@
 //! uniform thermal indices), `beta_sweep` (β and history-window
 //! sensitivity), `cutoff_sweep` (the backlog-guard trade-off),
 //! `orientation_study` (which die bonds to the spreader),
-//! `model_fidelity` (block vs grid thermal model), `sensor_noise_study`
-//! (policy robustness to imperfect sensors) and `calibrate` (package
-//! parameter search).
+//! `model_fidelity` (block-level vs grid networks, both stepped by the
+//! one `ThermalModel`), `sensor_noise_study` (policy robustness to
+//! imperfect sensors) and `calibrate` (package parameter search).
 //! `orientation_study` and `sensor_noise_study` delegate all looping to
 //! the sweep engine's scenario axes (`stack_orders` / `sensors`) via
 //! [`run_sweep_cached_or_die`], so their cells are memoized under
 //! `THERM3D_CACHE_DIR` exactly like the figures'.
 //!
 //! The binaries print aligned text tables (one row per policy, one column
-//! group per experiment) mirroring the paper's bar charts. Durations scale
-//! with the `THERM3D_SIM_SECONDS` environment variable (default 240 s of
-//! simulated time per run; the paper replays 30-minute traces — longer
-//! runs sharpen the statistics but do not change the ranking), parsed by
+//! group per experiment) mirroring the paper's bar charts. Durations of
+//! the figures and of every ablation but `model_fidelity` and
+//! `calibrate` (which fix theirs) scale with the `THERM3D_SIM_SECONDS`
+//! environment variable (default 240 s of simulated time per run; the
+//! paper replays 30-minute traces — longer runs sharpen the statistics
+//! but do not change the ranking), parsed by
 //! [`therm3d_sweep::sim_seconds_from_env`]; a malformed value aborts with
 //! the parse error instead of silently simulating the default.
 //!

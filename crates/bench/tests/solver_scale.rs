@@ -110,9 +110,10 @@ fn nested_dissection_pipeline_beats_minimum_degree_at_scale() {
     // Warm-up round so the ND pipeline pays no first-touch costs; the
     // MD pipeline is dominated by its deterministic ordering pass,
     // which a warm-up would only run twice.
-    let _ = time_pipeline(a, || net.nested_dissection_perm(), &b, 1);
+    let _ = time_pipeline(a, || net.nested_dissection_perm().expect("grid network"), &b, 1);
     let (md, xm) = time_pipeline(a, || min_degree_order(a), &b, solves);
-    let (nd, xn) = time_pipeline(a, || net.nested_dissection_perm(), &b, solves);
+    let (nd, xn) =
+        time_pipeline(a, || net.nested_dissection_perm().expect("grid network"), &b, solves);
 
     // Correctness in every profile: both are factorizations of A (under
     // different orderings, so only the solutions can be compared).
@@ -204,7 +205,7 @@ fn phase_probe() {
     let n = a.dim();
     let b = uniform_rhs(n);
     let t0 = Instant::now();
-    let perm = net.nested_dissection_perm();
+    let perm = net.nested_dissection_perm().expect("grid network");
     println!("nd ordering: {:?}", t0.elapsed());
     let t0 = Instant::now();
     let symbolic = analyze_with_perm(a, perm);
@@ -241,7 +242,7 @@ fn min_degree_probe() {
         f.solve_into(&b, &mut scr, &mut x);
     }
     println!("40 serial solves (md order): {:?}", t0.elapsed());
-    let perm = net.nested_dissection_perm();
+    let perm = net.nested_dissection_perm().expect("grid network");
     let symnd = analyze_with_perm(a, perm);
     println!("nd nnz_l {}", symnd.nnz_l());
 }

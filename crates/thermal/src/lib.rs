@@ -3,18 +3,24 @@
 //! "Dynamic Thermal Management in 3D Multicore Architectures"
 //! (Coskun et al., DATE 2009).
 //!
-//! The crate turns a [`therm3d_floorplan::Stack3d`] into an RC network:
-//! each silicon layer becomes a grid of thermal cells with lateral and
-//! vertical conductances, inter-die heat flows through the TSV-adjusted
-//! interface material, and the package (TIM, copper spreader, heat sink,
-//! convection to ambient) closes the path using the paper's Table II
-//! parameters. Steady states are solved directly through a sparse LDLᵀ
-//! factorization of the conductance matrix; transients default to an
-//! implicit pre-factored integrator ([`Integrator::ImplicitCn`]) that
-//! advances a full 100 ms tick in a few triangular solves — on networks
-//! of at most 128 nodes one pass over the modes of the network's
-//! eigenbasis — with stability-controlled explicit RK4 retained as the
-//! golden reference ([`Integrator::ExplicitRk4`]).
+//! The crate turns a [`therm3d_floorplan::Stack3d`] into an RC network
+//! `C·dT/dt = −G·T + P + g_amb·T_amb`: inter-die heat flows through the
+//! TSV-adjusted interface material, and the package (TIM, copper
+//! spreader, heat sink, convection to ambient) closes the path using the
+//! paper's Table II parameters. [`RcNetwork::build`] makes each silicon
+//! layer a grid of thermal cells, the grid model the paper runs;
+//! [`RcNetwork::build_blocks`] gives each floorplan block one node,
+//! HotSpot's block model, far smaller at the cost of within-block
+//! detail (the `model_fidelity` ablation measures the difference).
+//!
+//! One [`ThermalModel`] steps either network. Steady states are solved
+//! directly through a sparse LDLᵀ factorization of the conductance
+//! matrix; transients default to an implicit pre-factored integrator
+//! ([`Integrator::ImplicitCn`]) that advances a full 100 ms tick in a
+//! few triangular solves — on networks of at most 128 nodes one pass
+//! over the modes of the network's eigenbasis — with
+//! stability-controlled explicit RK4 retained as the golden reference
+//! ([`Integrator::ExplicitRk4`]).
 //!
 //! # Quick start
 //!
@@ -32,7 +38,6 @@
 //! assert!(steady.iter().cloned().fold(f64::MIN, f64::max) > 45.0);
 //! ```
 
-pub mod block_model;
 pub mod config;
 pub mod grid;
 pub mod material;
@@ -44,7 +49,6 @@ pub mod sparse;
 pub mod tsv;
 pub mod units;
 
-pub use block_model::BlockThermalModel;
 pub use config::{Integrator, ThermalConfig};
 pub use material::Material;
 pub use model::ThermalModel;

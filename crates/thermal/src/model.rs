@@ -30,7 +30,7 @@ const RK4_STABILITY: f64 = 2.78;
 /// their eigenbasis, where the substeps of a tick collapse into one
 /// decay factor per mode, so there the substep count costs nothing per
 /// tick.
-pub(crate) const MAX_IMPLICIT_STEP_S: f64 = 0.035;
+const MAX_IMPLICIT_STEP_S: f64 = 0.035;
 /// Network size at which the symbolic analysis switches from the exact
 /// minimum-degree ordering (quadratic-plus in the node count) to the
 /// geometric nested-dissection order (near-linear on the grid).
@@ -57,9 +57,13 @@ pub(crate) const TRBDF2_C2: f64 = (SQRT_2 - 1.0) / 2.0;
 
 /// A transient 3D thermal simulator for a die stack.
 ///
-/// `ThermalModel` owns the RC network built from a [`Stack3d`] and a
-/// [`ThermalConfig`], the current temperature state, and the current
-/// per-block power assignment. Typical use alternates
+/// `ThermalModel` owns an RC network — the cell grid [`new`](Self::new)
+/// builds from a [`Stack3d`] and a [`ThermalConfig`], or any network
+/// handed to [`from_network`](Self::from_network), such as the block
+/// network of [`RcNetwork::build_blocks`] — the current temperature
+/// state, and the current per-block power assignment. Both kinds of
+/// network step, solve and read back through the same code. Typical use
+/// alternates
 /// [`set_block_powers`](Self::set_block_powers) and [`step`](Self::step)
 /// at the thermal sampling interval (100 ms in the paper), reading back
 /// [`block_temperatures_c`](Self::block_temperatures_c) for the policies.
@@ -387,7 +391,8 @@ impl Rk4Scratch {
 }
 
 impl ThermalModel {
-    /// Builds the model and initializes every node at the ambient
+    /// Builds the model over the grid network of `stack` (see
+    /// [`RcNetwork::build`]) and initializes every node at the ambient
     /// temperature (the zero-power steady state).
     ///
     /// # Panics
@@ -395,14 +400,22 @@ impl ThermalModel {
     /// Panics if `config` is invalid (see [`ThermalConfig::validate`]).
     #[must_use]
     pub fn new(stack: &Stack3d, config: ThermalConfig) -> Self {
-        let network = RcNetwork::build(stack, &config);
+        Self::from_network(RcNetwork::build(stack, &config), config.integrator)
+    }
+
+    /// Builds the model over an assembled `network` — a grid network or
+    /// a block network ([`RcNetwork::build_blocks`]) — stepping with
+    /// `integrator`, and initializes every node at the ambient
+    /// temperature (the zero-power steady state).
+    #[must_use]
+    pub fn from_network(network: RcNetwork, integrator: Integrator) -> Self {
         let (n, blocks) = (network.node_count(), network.block_count());
         let stable_dt = RK4_SAFETY * RK4_STABILITY / network.stiffness_bound();
         let implicit = ImplicitState {
-            perm_hint: (n >= ND_MIN_DIM).then(|| network.nested_dissection_perm()),
+            perm_hint: if n >= ND_MIN_DIM { network.nested_dissection_perm() } else { None },
             ..ImplicitState::default()
         };
-        let scratch = match config.integrator {
+        let scratch = match integrator {
             Integrator::ExplicitRk4 => Rk4Scratch::new(n),
             Integrator::ImplicitCn => Rk4Scratch::default(),
         };
@@ -412,7 +425,7 @@ impl ThermalModel {
             block_power: vec![0.0; blocks],
             scratch,
             stable_dt,
-            integrator: config.integrator,
+            integrator,
             implicit,
             modes: ModalState {
                 active: false,
@@ -749,7 +762,7 @@ impl ThermalModel {
     }
 
     /// Per-block temperatures in °C (area-weighted over the block's
-    /// cells), indexed like [`Stack3d::sites`].
+    /// nodes), indexed like [`Stack3d::sites`].
     #[must_use]
     pub fn block_temperatures_c(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.network.block_count());
@@ -810,7 +823,8 @@ impl ThermalModel {
         })
     }
 
-    /// Node temperatures in kelvin (cells first, then spreader, sink).
+    /// Node temperatures in kelvin (silicon nodes first, then spreader,
+    /// sink).
     ///
     /// A diagnostic: once a network of at most 128 nodes has stepped,
     /// its state is modal, and every call reconstructs the node
@@ -858,6 +872,13 @@ mod tests {
         (stack, model)
     }
 
+    /// The model of `exp`'s block network under the paper's package.
+    fn block_model(exp: Experiment, integrator: Integrator) -> (Stack3d, ThermalModel) {
+        let stack = exp.stack();
+        let network = RcNetwork::build_blocks(&stack, &ThermalConfig::paper_default());
+        (stack, ThermalModel::from_network(network, integrator))
+    }
+
     fn core_power_vector(stack: &Stack3d, watts: f64) -> Vec<f64> {
         let mut p = vec![0.0; stack.num_blocks()];
         for c in stack.core_ids() {
@@ -878,15 +899,68 @@ mod tests {
     fn steady_state_energy_balance() {
         // In steady state, all injected power leaves through the sink:
         // (T_sink − T_amb) / R_conv = P_total.
-        let (stack, mut model) = small_model(Experiment::Exp1);
-        let p = core_power_vector(&stack, 3.0);
-        model.initialize_steady_state(&p);
-        let p_total: f64 = p.iter().sum();
-        let flux = (model.sink_temperature_c() - 45.0) / 0.1;
-        assert!(
-            (flux - p_total).abs() < 1e-6 * p_total.max(1.0),
-            "flux {flux} vs injected {p_total}"
-        );
+        let models =
+            [small_model(Experiment::Exp1), block_model(Experiment::Exp2, Integrator::ImplicitCn)];
+        for (stack, mut model) in models {
+            let p = core_power_vector(&stack, 3.0);
+            let temps = model.initialize_steady_state(&p);
+            assert!(temps.iter().all(|&t| t > 45.0 && t < 150.0), "{temps:?}");
+            let p_total: f64 = p.iter().sum();
+            let flux = (model.sink_temperature_c() - 45.0) / 0.1;
+            assert!(
+                (flux - p_total).abs() < 1e-6 * p_total.max(1.0),
+                "flux {flux} vs injected {p_total}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_cell_grid_matches_the_closed_form_slab() {
+        // With one cell per layer the network is a series chain, top
+        // cell → … → cell 0 → spreader → sink → ambient, whose steady
+        // state follows from the config alone: each link's rise is the
+        // power that crosses it times its resistance.
+        let cfg = ThermalConfig::paper_default().with_grid(1, 1);
+        let k_si = cfg.silicon.conductivity;
+        for exp in Experiment::ALL {
+            let stack = exp.stack();
+            let mut model = ThermalModel::new(&stack, cfg.clone());
+            let mut draw = uniform(0x51AB ^ exp as u64);
+            let powers: Vec<f64> = (0..stack.num_blocks()).map(|_| 4.0 * draw()).collect();
+            let temps = model.initialize_steady_state(&powers);
+
+            let outline = stack.layer(0).outline();
+            let area = outline.width * outline.height * 1e-6;
+            let mut layer_power = vec![0.0; stack.layer_count()];
+            for (site, &p) in stack.sites().iter().zip(&powers) {
+                layer_power[site.layer] += p;
+            }
+            let total: f64 = layer_power.iter().sum();
+            let t_sink = cfg.ambient_c + total * cfg.convection_resistance_kw;
+            let t_spreader = t_sink + total * cfg.spreader_to_sink_resistance_kw;
+            let r_below = (cfg.die_thickness_m / (2.0 * k_si)
+                + cfg.tim_thickness_m * cfg.tim.resistivity()
+                + cfg.spreader_thickness_m / cfg.spreader.conductivity)
+                / area;
+            let r_between = (cfg.die_thickness_m / k_si
+                + cfg.interlayer_thickness_m * cfg.interlayer.resistivity())
+                / area;
+            let mut layer_t = vec![t_spreader + total * r_below];
+            for l in 1..stack.layer_count() {
+                let crossing: f64 = layer_power[l..].iter().sum();
+                layer_t.push(layer_t[l - 1] + crossing * r_between);
+            }
+
+            let check = |what: &str, got: f64, want: f64| {
+                let bound = 1e-9 * (want - cfg.ambient_c);
+                assert!((got - want).abs() <= bound, "{exp} {what}: {got} °C vs {want} °C");
+            };
+            check("sink", model.sink_temperature_c(), t_sink);
+            check("spreader", model.spreader_temperature_c(), t_spreader);
+            for (site, (s, &t)) in stack.sites().iter().zip(&temps).enumerate() {
+                check(&format!("block {site}"), t, layer_t[s.layer]);
+            }
+        }
     }
 
     #[test]
@@ -967,6 +1041,88 @@ mod tests {
     }
 
     #[test]
+    fn block_network_agrees_with_the_8x8_grid_within_a_few_degrees() {
+        // The headline fidelity check: block vs 8×8 grid steady states.
+        for exp in [Experiment::Exp1, Experiment::Exp3] {
+            let stack = exp.stack();
+            let powers: Vec<f64> = stack
+                .sites()
+                .iter()
+                .map(|s| match s.kind {
+                    therm3d_floorplan::UnitKind::Core => 3.0,
+                    therm3d_floorplan::UnitKind::L2Cache => 1.28,
+                    _ => 2.0,
+                })
+                .collect();
+            let mut grid = ThermalModel::new(&stack, ThermalConfig::paper_default());
+            let (_, mut block) = block_model(exp, Integrator::ImplicitCn);
+            let tg = grid.initialize_steady_state(&powers);
+            let tb = block.initialize_steady_state(&powers);
+            for (i, (a, b)) in tg.iter().zip(&tb).enumerate() {
+                assert!(
+                    (a - b).abs() < 6.0,
+                    "{exp} block {i}: grid {a:.1} vs block network {b:.1}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_network_runs_hotter_with_more_power() {
+        let (stack, mut model) = block_model(Experiment::Exp4, Integrator::ImplicitCn);
+        let lo = model.initialize_steady_state(&vec![0.5; stack.num_blocks()]);
+        let hi = model.initialize_steady_state(&vec![1.5; stack.num_blocks()]);
+        for (a, b) in lo.iter().zip(&hi) {
+            assert!(b > a);
+        }
+    }
+
+    #[test]
+    fn block_network_transient_settles_on_the_direct_steady_state() {
+        for exp in [Experiment::Exp1, Experiment::Exp3] {
+            let (stack, mut direct) = block_model(exp, Integrator::ImplicitCn);
+            let powers: Vec<f64> = (0..stack.num_blocks()).map(|i| 0.3 + 0.1 * i as f64).collect();
+            let steady = direct.initialize_steady_state(&powers);
+            let (_, mut transient) = block_model(exp, Integrator::ImplicitCn);
+            transient.reset_uniform(45.0);
+            transient.set_block_powers(&powers);
+            for _ in 0..4000 {
+                transient.step(0.1);
+            }
+            for (a, b) in steady.iter().zip(&transient.block_temperatures_c()) {
+                assert!((a - b).abs() < 1e-6, "{exp}: steady {a} vs transient {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_network_implicit_trajectory_tracks_rk4() {
+        let (stack, mut implicit) = block_model(Experiment::Exp2, Integrator::ImplicitCn);
+        let (_, mut explicit) = block_model(Experiment::Exp2, Integrator::ExplicitRk4);
+        let powers: Vec<f64> =
+            (0..stack.num_blocks()).map(|i| 0.5 + 0.2 * (i % 4) as f64).collect();
+        for m in [&mut implicit, &mut explicit] {
+            m.reset_uniform(45.0);
+            m.set_block_powers(&powers);
+        }
+        for tick in 0..200 {
+            implicit.step(0.1);
+            explicit.step(0.1);
+            if tick % 40 == 0 {
+                let reference = explicit.block_temperatures_c();
+                for (i, (a, b)) in
+                    implicit.block_temperatures_c().iter().zip(&reference).enumerate()
+                {
+                    assert!(
+                        (a - b).abs() < 0.05,
+                        "tick {tick} block {i}: implicit {a:.3} vs RK4 {b:.3}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn step_subdivides_large_dt() {
         let (stack, mut model) = small_model(Experiment::Exp1);
         model.set_block_powers(&core_power_vector(&stack, 3.0));
@@ -1013,6 +1169,13 @@ mod tests {
     fn zero_dt_rejected() {
         let (_, mut model) = small_model(Experiment::Exp1);
         model.step(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one power entry per block")]
+    fn block_network_rejects_a_wrong_power_length() {
+        let (_, mut model) = block_model(Experiment::Exp1, Integrator::ImplicitCn);
+        model.set_block_powers(&[1.0]);
     }
 
     #[test]
@@ -1180,14 +1343,20 @@ mod tests {
     #[test]
     fn modal_tick_matches_the_substeps_it_composes() {
         for exp in Experiment::ALL {
-            for grid in [4, 6] {
-                let stack = exp.stack();
-                let cfg = ThermalConfig::paper_default().with_grid(grid, grid);
-                let mut model = ThermalModel::new(&stack, cfg);
+            let stack = exp.stack();
+            let cfg = ThermalConfig::paper_default();
+            let grid = |g: usize| RcNetwork::build(&stack, &cfg.clone().with_grid(g, g));
+            let networks = [
+                ("4x4", 4, grid(4)),
+                ("6x6", 6, grid(6)),
+                ("blocks", 0xB10C, RcNetwork::build_blocks(&stack, &cfg)),
+            ];
+            for (label, seed, network) in networks {
+                let mut model = ThermalModel::from_network(network, Integrator::ImplicitCn);
                 let mut powers = vec![0.5; stack.num_blocks()];
                 model.initialize_steady_state(&powers);
                 let mut reference = Substeps::new(&model.network, model.node_temperatures_k());
-                let mut draw = uniform(0x5EED ^ grid as u64);
+                let mut draw = uniform(0x5EED ^ seed);
                 let (mut worst, mut worst_node): (f64, f64) = (0.0, 0.0);
                 for tick in 1..=3000 {
                     powers.iter_mut().for_each(|p| *p = 4.0 * draw());
@@ -1199,8 +1368,8 @@ mod tests {
                         worst_node = worst_node.max(reference.node_gap(&model));
                     }
                 }
-                assert!(worst <= 1e-9, "{exp} {grid}x{grid}: the tick is {worst:e} K off");
-                assert!(worst_node <= 1e-9, "{exp} {grid}x{grid}: nodes are {worst_node:e} K off");
+                assert!(worst <= 1e-9, "{exp} {label}: the tick is {worst:e} K off");
+                assert!(worst_node <= 1e-9, "{exp} {label}: nodes are {worst_node:e} K off");
             }
         }
     }

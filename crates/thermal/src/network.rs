@@ -1,11 +1,13 @@
 //! Assembly of the 3D RC thermal network from a die stack.
 //!
-//! Every silicon layer is discretized into grid cells (one thermal node
-//! each). Vertical heat flow passes through the inter-die interface
-//! material (with the TSV-adjusted joint resistivity) between stacked
-//! layers, and through the TIM, heat spreader and heat sink below layer 0.
-//! The sink convects into a fixed-temperature ambient through the
-//! Table II convection resistance.
+//! [`RcNetwork::build`] discretizes every silicon layer into grid cells
+//! (one thermal node each), HotSpot's grid model;
+//! [`RcNetwork::build_blocks`] gives each floorplan block one node
+//! instead, HotSpot's block model. Vertical heat flow passes through the
+//! inter-die interface material (with the TSV-adjusted joint
+//! resistivity) between stacked layers, and through the TIM, heat
+//! spreader and heat sink below layer 0. The sink convects into a
+//! fixed-temperature ambient through the Table II convection resistance.
 //!
 //! ```text
 //!   layer L-1 cells          (top of stack, adiabatic above)
@@ -38,18 +40,17 @@ pub struct RcNetwork {
     ambient_conductance: Vec<f64>,
     /// Ambient temperature in kelvin.
     ambient_k: f64,
-    /// Per-layer grids (all identical geometry, one per silicon layer).
+    /// Per-layer grids (all identical geometry, one per silicon layer);
+    /// empty on a block network, which has no cell grid.
     grids: Vec<LayerGrid>,
-    /// For each global block site: the `(node, weight)` cells it covers;
+    /// For each global block site: the `(node, weight)` nodes it covers;
     /// weights sum to 1 per block.
     block_nodes: Vec<Vec<(usize, f64)>>,
-    num_cell_nodes: usize,
-    spreader_node: usize,
-    sink_node: usize,
 }
 
 impl RcNetwork {
-    /// Builds the network for `stack` under `config`.
+    /// Builds the grid network for `stack` under `config`: one node per
+    /// cell of a `grid_rows × grid_cols` grid on every layer.
     ///
     /// # Panics
     ///
@@ -62,10 +63,8 @@ impl RcNetwork {
             .map(|l| LayerGrid::new(*stack.layer(l).outline(), config.grid_rows, config.grid_cols))
             .collect();
         let cells_per_layer = grids[0].num_cells();
-        let num_cell_nodes = cells_per_layer * layers;
-        let spreader_node = num_cell_nodes;
-        let sink_node = num_cell_nodes + 1;
-        let n = num_cell_nodes + 2;
+        let spreader_node = cells_per_layer * layers;
+        let n = spreader_node + 2;
 
         let cell_w = grids[0].cell_width_mm() * MM_TO_M;
         let cell_h = grids[0].cell_height_mm() * MM_TO_M;
@@ -75,7 +74,6 @@ impl RcNetwork {
 
         let mut g = TripletMatrix::new(n);
         let mut cap = vec![0.0; n];
-        let mut g_amb = vec![0.0; n];
 
         // Per-cell silicon heat capacity, plus half the adjacent interface
         // material's capacity lumped into each neighbouring cell.
@@ -130,16 +128,6 @@ impl RcNetwork {
             g.add_conductance(cell, spreader_node, g_to_spreader);
         }
 
-        // Package: spreader body capacity, lumped spreader→sink resistance,
-        // sink capacity and convection to ambient (Table II).
-        cap[spreader_node] = config.spreader.volume_capacitance(
-            config.spreader_side_m * config.spreader_side_m * config.spreader_thickness_m,
-        );
-        cap[sink_node] = config.convection_capacitance_jk;
-        g.add_conductance(spreader_node, sink_node, 1.0 / config.spreader_to_sink_resistance_kw);
-        g_amb[sink_node] = 1.0 / config.convection_resistance_kw;
-        g.add_grounded_conductance(sink_node, g_amb[sink_node]);
-
         // Block → node coverage, per global site.
         let mut block_nodes = Vec::with_capacity(stack.num_blocks());
         for (l, fp) in stack.layers().iter().enumerate() {
@@ -150,6 +138,139 @@ impl RcNetwork {
             }
         }
         debug_assert_eq!(block_nodes.len(), stack.num_blocks());
+
+        Self::with_package(config, g, cap, grids, block_nodes)
+    }
+
+    /// Builds the block network for `stack` under `config`, HotSpot's
+    /// block model: one node per floorplan block (indexed like
+    /// [`Stack3d::sites`], so block `i` reads node `i` at weight 1),
+    /// lateral conductances between blocks on one layer that share an
+    /// edge, vertical conductances over the overlap of blocks on
+    /// adjacent layers, and the same TIM/spreader/sink package as
+    /// [`Self::build`]. `config.grid_rows` and `config.grid_cols` are
+    /// ignored.
+    ///
+    /// It has 16–34 nodes on EXP-1..4, against 130–258 for the paper's
+    /// 8×8 grids, at the cost of washing out temperature variation
+    /// within a block: unlike the grid, the block network lumps no
+    /// interface heat capacity into its silicon nodes and couples
+    /// neighbours over the distance between block centres. The
+    /// `model_fidelity` ablation measures what that costs against grids
+    /// of increasing resolution.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use therm3d_floorplan::Experiment;
+    /// use therm3d_thermal::{RcNetwork, ThermalConfig, ThermalModel};
+    ///
+    /// let stack = Experiment::Exp2.stack();
+    /// let config = ThermalConfig::paper_default();
+    /// let network = RcNetwork::build_blocks(&stack, &config);
+    /// assert_eq!(network.node_count(), stack.num_blocks() + 2);
+    /// let mut model = ThermalModel::from_network(network, config.integrator);
+    /// let steady = model.initialize_steady_state(&vec![1.0; stack.num_blocks()]);
+    /// assert!(steady.iter().all(|&t| t > 45.0));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`ThermalConfig::validate`].
+    #[must_use]
+    pub fn build_blocks(stack: &Stack3d, config: &ThermalConfig) -> Self {
+        config.validate();
+        let n = stack.num_blocks();
+        let spreader = n;
+        let mut g = TripletMatrix::new(n + 2);
+        let mut cap = vec![0.0; n + 2];
+
+        let k_si = config.silicon.conductivity;
+        let t_die = config.die_thickness_m;
+        let sites = stack.sites();
+
+        // Heat capacity: silicon volume per block.
+        for (i, s) in sites.iter().enumerate() {
+            let volume = s.area_mm2 * 1e-6 * t_die;
+            cap[i] = config.silicon.volume_capacitance(volume);
+        }
+
+        // Lateral conductances: blocks on the same layer sharing an edge.
+        // G = k_si · t_die · L_shared / d_centers.
+        for layer in 0..stack.layer_count() {
+            let fp = stack.layer(layer);
+            for a in 0..fp.len() {
+                for b in (a + 1)..fp.len() {
+                    let ra = fp.blocks()[a].rect();
+                    let rb = fp.blocks()[b].rect();
+                    let shared_mm = ra.shared_edge_length(rb);
+                    if shared_mm <= 0.0 {
+                        continue;
+                    }
+                    let (ax, ay) = ra.center();
+                    let (bx, by) = rb.center();
+                    let dist_m = ((ax - bx).hypot(ay - by)) * 1e-3;
+                    let g_lat = k_si * t_die * (shared_mm * 1e-3) / dist_m;
+                    let ia = stack.site_index(layer, a).expect("valid site");
+                    let ib = stack.site_index(layer, b).expect("valid site");
+                    g.add_conductance(ia, ib, g_lat);
+                }
+            }
+        }
+
+        // Vertical conductances through half-die + interface + half-die.
+        let rho_interlayer = config.interlayer.resistivity();
+        for (lo, hi) in stack.vertical_adjacency() {
+            let overlap_mm2 = {
+                let slo = &sites[lo];
+                let shi = &sites[hi];
+                let rl = stack.layer(slo.layer).blocks()[slo.block].rect();
+                let rh = stack.layer(shi.layer).blocks()[shi.block].rect();
+                rl.intersection_area(rh)
+            };
+            let area_m2 = overlap_mm2 * 1e-6;
+            let r =
+                t_die / (k_si * area_m2) + config.interlayer_thickness_m * rho_interlayer / area_m2;
+            g.add_conductance(lo, hi, 1.0 / r);
+        }
+
+        // Bottom layer into the spreader through half-die + TIM + spreader.
+        for (i, s) in sites.iter().enumerate() {
+            if s.layer != 0 {
+                continue;
+            }
+            let area_m2 = s.area_mm2 * 1e-6;
+            let r = t_die / (2.0 * k_si * area_m2)
+                + config.tim_thickness_m * config.tim.resistivity() / area_m2
+                + config.spreader_thickness_m / (config.spreader.conductivity * area_m2);
+            g.add_conductance(i, spreader, 1.0 / r);
+        }
+
+        let block_nodes = (0..n).map(|i| vec![(i, 1.0)]).collect();
+        Self::with_package(config, g, cap, Vec::new(), block_nodes)
+    }
+
+    /// Closes the heat path of a network whose last two nodes are the
+    /// spreader (already coupled to layer 0) and the sink: spreader body
+    /// capacity, lumped spreader→sink resistance, sink capacity and
+    /// convection to ambient (Table II).
+    fn with_package(
+        config: &ThermalConfig,
+        mut g: TripletMatrix,
+        mut cap: Vec<f64>,
+        grids: Vec<LayerGrid>,
+        block_nodes: Vec<Vec<(usize, f64)>>,
+    ) -> Self {
+        let n = cap.len();
+        let (spreader_node, sink_node) = (n - 2, n - 1);
+        cap[spreader_node] = config.spreader.volume_capacitance(
+            config.spreader_side_m * config.spreader_side_m * config.spreader_thickness_m,
+        );
+        cap[sink_node] = config.convection_capacitance_jk;
+        g.add_conductance(spreader_node, sink_node, 1.0 / config.spreader_to_sink_resistance_kw);
+        let mut g_amb = vec![0.0; n];
+        g_amb[sink_node] = 1.0 / config.convection_resistance_kw;
+        g.add_grounded_conductance(sink_node, g_amb[sink_node]);
 
         let conductance = g.to_csr();
         // The RC system is only well-posed if G is symmetric (every
@@ -171,9 +292,6 @@ impl RcNetwork {
             ambient_k: kelvin_from_celsius(config.ambient_c),
             grids,
             block_nodes,
-            num_cell_nodes,
-            spreader_node,
-            sink_node,
         }
     }
 
@@ -201,44 +319,28 @@ impl RcNetwork {
         self.ambient_k
     }
 
-    /// Total number of nodes (cells + spreader + sink).
+    /// Total number of nodes (silicon nodes + spreader + sink).
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.capacitance.len()
     }
 
-    /// Number of silicon cell nodes.
+    /// Number of silicon nodes: grid cells, or blocks on a block network.
     #[must_use]
     pub fn cell_node_count(&self) -> usize {
-        self.num_cell_nodes
+        self.node_count() - 2
     }
 
-    /// Node index of the heat spreader.
+    /// Node index of the heat spreader, after the silicon nodes.
     #[must_use]
     pub fn spreader_node(&self) -> usize {
-        self.spreader_node
+        self.node_count() - 2
     }
 
-    /// Node index of the heat sink.
+    /// Node index of the heat sink, the last node.
     #[must_use]
     pub fn sink_node(&self) -> usize {
-        self.sink_node
-    }
-
-    /// Number of silicon layers.
-    #[must_use]
-    pub fn layer_count(&self) -> usize {
-        self.grids.len()
-    }
-
-    /// The grid of layer `l`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is out of range.
-    #[must_use]
-    pub fn grid(&self, l: usize) -> &LayerGrid {
-        &self.grids[l]
+        self.node_count() - 1
     }
 
     /// `(node, weight)` coverage of global block `site` (weights sum to 1).
@@ -352,23 +454,24 @@ impl RcNetwork {
     /// [`crate::sparse::factor::min_degree_order`] is quadratic-plus —
     /// the difference between milliseconds and minutes at 64×64 per
     /// layer, with comparable fill on these grid Laplacians.
-    /// [`crate::ThermalModel`] orders every network of 2 048 nodes or
-    /// more this way.
+    /// [`crate::ThermalModel`] orders every grid network of 2 048 nodes
+    /// or more this way. `None` on a block network, which has no box.
     #[must_use]
-    pub fn nested_dissection_perm(&self) -> Vec<usize> {
-        let cells_per_layer = self.grids[0].num_cells();
+    pub fn nested_dissection_perm(&self) -> Option<Vec<usize>> {
+        let grid = self.grids.first()?;
+        let cells_per_layer = grid.num_cells();
         let mut perm = Vec::with_capacity(self.node_count());
         self.nd_order(
             &mut perm,
             cells_per_layer,
             (0, self.grids.len()),
-            (0, self.grids[0].rows()),
-            (0, self.grids[0].cols()),
+            (0, grid.rows()),
+            (0, grid.cols()),
         );
-        debug_assert_eq!(perm.len(), self.num_cell_nodes);
-        perm.push(self.spreader_node);
-        perm.push(self.sink_node);
-        perm
+        debug_assert_eq!(perm.len(), self.cell_node_count());
+        perm.push(self.spreader_node());
+        perm.push(self.sink_node());
+        Some(perm)
     }
 
     /// Recursive step of [`Self::nested_dissection_perm`] over the cell
@@ -425,6 +528,13 @@ mod tests {
         RcNetwork::build(&stack, &cfg)
     }
 
+    /// The block networks of EXP-1..4.
+    fn block_nets() -> impl Iterator<Item = RcNetwork> {
+        Experiment::ALL
+            .into_iter()
+            .map(|exp| RcNetwork::build_blocks(&exp.stack(), &ThermalConfig::paper_default()))
+    }
+
     #[test]
     fn node_counts() {
         let n = net(Experiment::Exp1, 4, 4);
@@ -432,19 +542,28 @@ mod tests {
         assert_eq!(n.cell_node_count(), 32);
         assert_eq!(n.spreader_node(), 32);
         assert_eq!(n.sink_node(), 33);
+        // A block network has one node per block, then the package.
+        for (exp, n) in Experiment::ALL.into_iter().zip(block_nets()) {
+            let blocks = exp.stack().num_blocks();
+            assert_eq!(n.block_count(), blocks, "{exp}");
+            assert_eq!(n.node_count(), blocks + 2, "{exp}");
+            assert_eq!((n.spreader_node(), n.sink_node()), (blocks, blocks + 1), "{exp}");
+        }
     }
 
     #[test]
     fn conductance_matrix_is_symmetric() {
-        let n = net(Experiment::Exp2, 4, 4);
-        assert!(n.conductance().is_symmetric(1e-9));
+        for n in std::iter::once(net(Experiment::Exp2, 4, 4)).chain(block_nets()) {
+            assert!(n.conductance().is_symmetric(1e-9));
+        }
     }
 
     #[test]
     fn all_capacitances_positive() {
-        let n = net(Experiment::Exp3, 4, 4);
-        for (i, &c) in n.capacitance().iter().enumerate() {
-            assert!(c > 0.0, "node {i} capacitance {c}");
+        for n in std::iter::once(net(Experiment::Exp3, 4, 4)).chain(block_nets()) {
+            for (i, &c) in n.capacitance().iter().enumerate() {
+                assert!(c > 0.0, "node {i} capacitance {c}");
+            }
         }
     }
 
@@ -457,22 +576,22 @@ mod tests {
 
     #[test]
     fn block_power_distribution_conserves_total() {
-        let stack = Experiment::Exp1.stack();
-        let cfg = ThermalConfig::paper_default().with_grid(6, 6);
-        let n = RcNetwork::build(&stack, &cfg);
-        let powers: Vec<f64> = (0..stack.num_blocks()).map(|i| i as f64 * 0.3).collect();
-        let node_p = n.node_power(&powers);
-        let total_in: f64 = powers.iter().sum();
-        let total_out: f64 = node_p.iter().sum();
-        assert!((total_in - total_out).abs() < 1e-9);
+        for n in std::iter::once(net(Experiment::Exp1, 6, 6)).chain(block_nets()) {
+            let powers: Vec<f64> = (0..n.block_count()).map(|i| i as f64 * 0.3).collect();
+            let node_p = n.node_power(&powers);
+            let total_in: f64 = powers.iter().sum();
+            let total_out: f64 = node_p.iter().sum();
+            assert!((total_in - total_out).abs() < 1e-9);
+        }
     }
 
     #[test]
     fn block_temperature_of_uniform_field_is_uniform() {
-        let n = net(Experiment::Exp4, 4, 4);
-        let temps = vec![320.0; n.node_count()];
-        for site in 0..n.block_count() {
-            assert!((n.block_temperature(site, &temps) - 320.0).abs() < 1e-9);
+        for n in std::iter::once(net(Experiment::Exp4, 4, 4)).chain(block_nets()) {
+            let temps = vec![320.0; n.node_count()];
+            for site in 0..n.block_count() {
+                assert!((n.block_temperature(site, &temps) - 320.0).abs() < 1e-9);
+            }
         }
     }
 
@@ -514,7 +633,7 @@ mod tests {
     #[test]
     fn nested_dissection_perm_is_a_permutation_with_package_last() {
         let n = net(Experiment::Exp2, 8, 8);
-        let perm = n.nested_dissection_perm();
+        let perm = n.nested_dissection_perm().expect("a grid network has a cell box");
         assert_eq!(perm.len(), n.node_count());
         let mut seen = vec![false; n.node_count()];
         for &p in &perm {
@@ -524,15 +643,16 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         assert_eq!(perm[n.node_count() - 2], n.spreader_node());
         assert_eq!(perm[n.node_count() - 1], n.sink_node());
+        assert!(block_nets().all(|n| n.nested_dissection_perm().is_none()));
     }
 
     #[test]
     fn nested_dissection_fill_is_competitive_and_solves_agree() {
-        use crate::sparse::factor::{analyze_with, analyze_with_perm, FillOrdering};
+        use crate::sparse::factor::analyze_with_perm;
         let n = net(Experiment::Exp2, 16, 16);
         let g = n.conductance();
-        let nd = analyze_with_perm(g, n.nested_dissection_perm());
-        let natural = analyze_with(g, FillOrdering::Natural);
+        let nd = analyze_with_perm(g, n.nested_dissection_perm().expect("grid network"));
+        let natural = analyze_with_perm(g, (0..g.dim()).collect());
         assert!(
             nd.nnz_l() < natural.nnz_l(),
             "nested dissection fill {} must beat natural fill {}",
@@ -550,12 +670,13 @@ mod tests {
     #[test]
     fn laplacian_row_sums_equal_ambient_coupling() {
         // G·1 should be zero everywhere except the ambient-connected sink.
-        let n = net(Experiment::Exp2, 4, 4);
-        let ones = vec![1.0; n.node_count()];
-        let y = n.conductance().mul(&ones);
-        for (i, yi) in y.iter().enumerate() {
-            let expect = n.ambient_conductance()[i];
-            assert!((yi - expect).abs() < 1e-9, "row {i}: {yi} vs {expect}");
+        for n in std::iter::once(net(Experiment::Exp2, 4, 4)).chain(block_nets()) {
+            let ones = vec![1.0; n.node_count()];
+            let y = n.conductance().mul(&ones);
+            for (i, yi) in y.iter().enumerate() {
+                let expect = n.ambient_conductance()[i];
+                assert!((yi - expect).abs() < 1e-9, "row {i}: {yi} vs {expect}");
+            }
         }
     }
 }

@@ -40,18 +40,6 @@ use std::fmt;
 
 use super::CsrMatrix;
 
-/// Node-elimination order used by the symbolic analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillOrdering {
-    /// Greedy exact minimum degree with index tie-breaking (default):
-    /// near-optimal fill on the RC network's grid-graph Laplacians.
-    #[default]
-    MinDegree,
-    /// The matrix's own ordering (useful for debugging and for matrices
-    /// that are already banded).
-    Natural,
-}
-
 /// Why a factorization attempt was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FactorError {
@@ -306,24 +294,13 @@ impl Symbolic {
     }
 }
 
-/// Computes the symbolic analysis of `a` with the default minimum-degree
-/// ordering: ordering, elimination tree and per-column fill counts.
-/// Value-independent — reuse the result across every matrix sharing
-/// `a`'s pattern via [`Symbolic::factor_numeric`].
+/// Computes the symbolic analysis of `a` under the minimum-degree
+/// ordering ([`min_degree_order`]): ordering, elimination tree and
+/// per-column fill counts. Value-independent — reuse the result across
+/// every matrix sharing `a`'s pattern via [`Symbolic::factor_numeric`].
 #[must_use]
 pub fn analyze(a: &CsrMatrix) -> Symbolic {
-    analyze_with(a, FillOrdering::MinDegree)
-}
-
-/// [`analyze`] with an explicit [`FillOrdering`].
-#[must_use]
-pub fn analyze_with(a: &CsrMatrix, ordering: FillOrdering) -> Symbolic {
-    let n = a.dim();
-    let perm = match ordering {
-        FillOrdering::MinDegree => min_degree_order(a),
-        FillOrdering::Natural => (0..n).collect(),
-    };
-    analyze_with_perm(a, perm)
+    analyze_with_perm(a, min_degree_order(a))
 }
 
 /// [`analyze`] with a caller-supplied elimination order (`perm[new] =
@@ -374,7 +351,7 @@ pub fn analyze_with_perm(a: &CsrMatrix, perm: Vec<usize>) -> Symbolic {
     Symbolic { n, nnz: a.nnz(), perm, iperm, parent, col_ptr }
 }
 
-/// Factors `a` with the default minimum-degree ordering (one-shot:
+/// Factors `a` under the minimum-degree ordering (one-shot:
 /// symbolic analysis plus numeric phase; callers factoring several
 /// matrices with one pattern should [`analyze`] once and reuse it).
 ///
@@ -388,16 +365,7 @@ pub fn analyze_with_perm(a: &CsrMatrix, perm: Vec<usize>) -> Symbolic {
 /// Panics if `a` is structurally unsymmetric (debug builds assert the
 /// pattern; values are taken from the lower triangle).
 pub fn factor(a: &CsrMatrix) -> Result<LdlFactor, FactorError> {
-    factor_with(a, FillOrdering::MinDegree)
-}
-
-/// [`factor`] with an explicit [`FillOrdering`].
-///
-/// # Errors
-///
-/// See [`factor`].
-pub fn factor_with(a: &CsrMatrix, ordering: FillOrdering) -> Result<LdlFactor, FactorError> {
-    analyze_with(a, ordering).factor_numeric(a)
+    analyze(a).factor_numeric(a)
 }
 
 /// Greedy exact minimum-degree ordering of `a`'s adjacency graph
@@ -537,12 +505,17 @@ mod tests {
         }
     }
 
+    /// The factor of `a` in its own (natural) order.
+    fn natural_factor(a: &CsrMatrix) -> LdlFactor {
+        analyze_with_perm(a, (0..a.dim()).collect()).factor_numeric(a).unwrap()
+    }
+
     #[test]
     fn natural_and_min_degree_agree() {
         let a = grid_laplacian(5, 5);
         let b: Vec<f64> = (0..a.dim()).map(|i| i as f64 * 0.1).collect();
-        let xm = factor_with(&a, FillOrdering::MinDegree).unwrap().solve(&b);
-        let xn = factor_with(&a, FillOrdering::Natural).unwrap().solve(&b);
+        let xm = factor(&a).unwrap().solve(&b);
+        let xn = natural_factor(&a).solve(&b);
         for (m, n) in xm.iter().zip(&xn) {
             assert!((m - n).abs() < 1e-9);
         }
@@ -551,8 +524,8 @@ mod tests {
     #[test]
     fn min_degree_reduces_fill_on_grids() {
         let a = grid_laplacian(12, 12);
-        let md = factor_with(&a, FillOrdering::MinDegree).unwrap();
-        let nat = factor_with(&a, FillOrdering::Natural).unwrap();
+        let md = factor(&a).unwrap();
+        let nat = natural_factor(&a);
         assert!(
             md.nnz_l() < nat.nnz_l(),
             "min-degree fill {} must beat natural fill {}",
@@ -634,17 +607,6 @@ mod tests {
         let symbolic = analyze(&grid_laplacian(4, 4));
         let other = laplacian_chain(16, 1.0, 1.0);
         let _ = symbolic.factor_numeric(&other);
-    }
-
-    #[test]
-    fn analyze_with_perm_natural_matches_natural_ordering() {
-        let a = grid_laplacian(6, 7);
-        let by_perm = analyze_with_perm(&a, (0..a.dim()).collect());
-        let natural = analyze_with(&a, FillOrdering::Natural);
-        assert_eq!(by_perm, natural);
-        let fa = by_perm.factor_numeric(&a).unwrap();
-        let fb = natural.factor_numeric(&a).unwrap();
-        assert_eq!(fa, fb);
     }
 
     #[test]
