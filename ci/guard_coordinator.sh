@@ -4,7 +4,8 @@
 # must re-issue the dead worker's lease, finish all 16 scenario cells,
 # and write the byte-identical CSV of a single-process run. The
 # coordinator owns the one cache, so a warm re-run afterwards serves
-# every cell with 0 misses.
+# every cell with 0 misses, and a second `serve` over that cache
+# completes with no workers and appends nothing.
 set -euo pipefail
 BIN="${THERM3D_BIN:-target/release/therm3d}"
 OUT="${TMPDIR:-/tmp}/therm3d-ci-coord"
@@ -56,4 +57,16 @@ diff "$OUT/single.csv" "$OUT/served.csv"
     > "$OUT/warm.csv" 2> "$OUT/warm.err"
 grep -E '^cache: 16 hits, 0 misses, 0 inserted' "$OUT/warm.err"
 diff "$OUT/single.csv" "$OUT/warm.csv"
+
+# A second coordinator over the same cache answers every cell itself:
+# it completes without a single worker connecting and leaves the
+# store's line count unchanged.
+LINES="$(wc -l < "$OUT/cache/results.tsv")"
+"$BIN" serve examples/sweep_scenarios.toml --listen 127.0.0.1:0 \
+    --cache-dir "$OUT/cache" --format csv \
+    > "$OUT/warm-served.csv" 2> "$OUT/warm-serve.err"
+grep -F '(16 from the cache)' "$OUT/warm-serve.err"
+grep -F 'from 0 worker(s)' "$OUT/warm-serve.err"
+diff "$OUT/single.csv" "$OUT/warm-served.csv"
+test "$(wc -l < "$OUT/cache/results.tsv")" = "$LINES"
 echo "coordinator guard ok: lease re-issued after worker death, CSV byte-identical"

@@ -45,6 +45,3 @@ per_cell = sum(cell["counters"]["factor_numeric"] for cell in snap["cells"])
 assert c["sweep.factor_share_hits"] + c["thermal.factor_numeric"] == per_cell, c
 print("telemetry guard ok: 16 cells traced, 4 shared thermal models")
 EOF
-# shard-plan prints one runnable line per shard for the same spec.
-"$BIN" shard-plan examples/sweep_scenarios.toml --count 4 > "$OUT/plan.txt"
-test "$(grep -c '^therm3d sweep' "$OUT/plan.txt")" = 4

@@ -85,12 +85,8 @@ pub fn sim_seconds_or_die(default_s: f64) -> f64 {
 
 /// The one cache-aware sweep execution path shared by the figure and
 /// ablation binaries: opens the store when a directory is given, runs
-/// the spec (honouring its shard — a sharded spec simulates only its
-/// slice of the matrix and appends only those cells to the store), and
-/// prints the hit/miss summary to stderr, tagged with the shard id
-/// (`cache[1/3]: ...`) when the spec is sharded so interleaved shard
-/// logs stay attributable. Callers only differ in how they surface
-/// errors.
+/// the spec, and prints the `cache:` hit/miss summary to stderr.
+/// Callers only differ in how they surface errors.
 ///
 /// # Errors
 ///
@@ -106,7 +102,7 @@ pub fn run_sweep_with_cache_dir(
     };
     let report = therm3d_sweep::run_with_cache(spec, store.as_mut())?;
     if let Some(store) = &store {
-        eprintln!("{}", store.summary_for(spec.shard));
+        eprintln!("{}", store.summary());
     }
     Ok(report)
 }
@@ -377,27 +373,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_figure_sweep_covers_only_its_slice_and_caches_it() {
-        use therm3d_sweep::ShardSpec;
+    fn cached_figure_sweep_stores_every_cell_and_reruns_warm() {
         let mut cfg = FigureConfig::quick();
         cfg.sim_seconds = 3.0;
         cfg.benchmarks = vec![Benchmark::Gzip];
-        let spec = cfg
-            .to_sweep_spec(&[Experiment::Exp1], false)
-            .with_policies(&[PolicyKind::Default, PolicyKind::CGate, PolicyKind::Adapt3d])
-            .with_shard(ShardSpec { index: 1, count: 2 });
-        let dir = std::env::temp_dir().join(format!("therm3d_bench_shard_{}", std::process::id()));
+        let spec = cfg.to_sweep_spec(&[Experiment::Exp1], false).with_policies(&[
+            PolicyKind::Default,
+            PolicyKind::CGate,
+            PolicyKind::Adapt3d,
+        ]);
+        let dir = std::env::temp_dir().join(format!("therm3d_bench_cache_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let report = run_sweep_with_cache_dir(&spec, Some(&dir)).unwrap();
-        // 3 cells round-robined over 2 shards: shard 1 owns cell #1 only.
-        assert_eq!(report.shard, spec.shard);
-        let indices: Vec<usize> = report.rows.iter().map(|r| r.cell.index).collect();
-        assert_eq!(indices, vec![1]);
-        // Only the shard's cells were appended to the store.
+        let cold = run_sweep_with_cache_dir(&spec, Some(&dir)).unwrap();
+        // Every cell was appended to the store under its own key.
         let mut store = therm3d_sweep::CacheStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1);
-        let key = therm3d_sweep::cell_key(&spec, &report.rows[0].cell);
-        assert!(store.lookup(&key).is_some());
+        assert_eq!(store.len(), 3);
+        for row in &cold.rows {
+            assert!(store.lookup(&therm3d_sweep::cell_key(&spec, &row.cell)).is_some());
+        }
+        drop(store);
+        // The warm rerun gives the same CSV, byte for byte, and appends
+        // nothing.
+        let warm = run_sweep_with_cache_dir(&spec, Some(&dir)).unwrap();
+        assert_eq!(warm.csv(), cold.csv());
+        let stored = std::fs::read_to_string(dir.join(therm3d_sweep::cache::STORE_FILE)).unwrap();
+        assert_eq!(stored.lines().count(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

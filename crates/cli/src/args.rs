@@ -5,7 +5,6 @@ use std::fmt;
 use therm3d::SensorProfile;
 use therm3d_floorplan::{Experiment, StackOrder};
 use therm3d_policies::PolicyKind;
-use therm3d_sweep::ShardSpec;
 use therm3d_thermal::{Integrator, TsvVariant};
 use therm3d_workload::Benchmark;
 
@@ -95,9 +94,6 @@ pub enum Command {
         cache_dir: Option<String>,
         /// Print hit/miss counters to stderr (`--cache-stats`).
         cache_stats: bool,
-        /// Run only shard K of N of the matrix (`--shard K/N`);
-        /// overrides the spec's `shard` key. `None` keeps the spec's.
-        shard: Option<ShardSpec>,
         /// Live progress line on stderr (`--progress`).
         progress: bool,
         /// JSONL cell-lifecycle event stream path (`--trace-out`).
@@ -106,7 +102,7 @@ pub enum Command {
         metrics_out: Option<String>,
     },
     /// Validate a sweep spec and print a preflight report — expansion
-    /// count, per-axis summary, shard balance and a cache warm/cold
+    /// count, per-axis summary, lease size and a cache warm/cold
     /// estimate — without simulating anything
     /// (`therm3d check SPEC.toml [--cache-dir DIR]`).
     Check {
@@ -114,23 +110,6 @@ pub enum Command {
         path: String,
         /// Cache directory to estimate warm/cold cells against.
         cache_dir: Option<String>,
-    },
-    /// Print ready-to-run command lines splitting a spec over N shards
-    /// (`therm3d shard-plan SPEC.toml --count N`), or — with `--serve`
-    /// — the serve/work lines of a leased campaign over N workers.
-    ShardPlan {
-        /// Sweep-spec path (validated before the plan is printed).
-        path: String,
-        /// Number of shards (or, with `--serve`, workers).
-        count: usize,
-        /// Per-shard cache directories `DIR-K` in the printed lines
-        /// (with `--serve`, the coordinator's single cache directory).
-        cache_dir: Option<String>,
-        /// `--threads` forwarded to every printed shard command.
-        threads: Option<usize>,
-        /// Emit `therm3d serve` + N `therm3d work` lines instead of the
-        /// static `--shard K/N` split (`--serve`).
-        serve: bool,
     },
     /// Coordinate a leased campaign over TCP
     /// (`therm3d serve SPEC.toml --listen ADDR`).
@@ -145,7 +124,8 @@ pub enum Command {
         /// Seconds a lease may go silent before its range is re-issued
         /// (`--lease-timeout SECS`); `None` = 30 s.
         lease_timeout: Option<f64>,
-        /// Single canonical result cache fed by all workers' results.
+        /// Single canonical result cache: warm cells are answered from
+        /// it before any lease, and every worker result is added to it.
         cache_dir: Option<String>,
         /// Report format for the merged campaign report on stdout.
         format: SweepFormat,
@@ -167,23 +147,6 @@ pub enum Command {
         /// Test/ops knob: compute one cell at a time, sleeping this many
         /// milliseconds between cells (`--throttle-ms N`).
         throttle_ms: u64,
-    },
-    /// Merge shard CSV reports back into the canonical unsharded CSV
-    /// (`therm3d merge OUT.csv SHARD.csv ...`).
-    Merge {
-        /// Output path the merged canonical CSV is written to.
-        out: String,
-        /// Shard report paths (any order; disjointness/completeness is
-        /// verified).
-        inputs: Vec<String>,
-    },
-    /// Union shard cache directories into one store
-    /// (`therm3d cache merge --cache-dir OUT SHARD_DIR ...`).
-    CacheMerge {
-        /// Destination cache directory (created if needed).
-        dir: String,
-        /// Source cache directories (read-only).
-        sources: Vec<String>,
     },
     /// Print the all-cores-busy steady-state profile.
     Steady { exp: Experiment, grid: usize },
@@ -220,21 +183,18 @@ USAGE:
   therm3d sweep       [--exp E] [-t SECS] [--dpm] [--seed N] [--grid N]
                       [--integrator I] [--stack-order O] [--tsv V] [--sensor S] [--csv]
   therm3d sweep       SPEC.toml [--threads N] [--format table|csv|json] [--csv]
-                      [--cache-dir DIR] [--no-cache] [--cache-stats] [--shard K/N]
+                      [--cache-dir DIR] [--no-cache] [--cache-stats]
                       [--progress] [--trace-out FILE] [--metrics-out FILE]
   therm3d check       SPEC.toml [--cache-dir DIR]
-  therm3d shard-plan  SPEC.toml --count N [--cache-dir DIR] [--threads N] [--serve]
   therm3d serve       SPEC.toml --listen ADDR [--lease N] [--lease-timeout SECS]
                       [--cache-dir DIR] [--format table|csv|json] [--csv]
                       [--progress] [--port-file FILE]
   therm3d work        --connect ADDR [--threads N] [--cache-dir DIR] [--throttle-ms N]
-  therm3d merge       OUT.csv SHARD.csv [SHARD.csv ...]
   therm3d steady      [--exp E] [--grid N]
   therm3d trace       [--benchmark B] [--cores N] [-t SECS] [--seed N] [--csv]
   therm3d reliability [--exp E] [--policy P] [-t SECS] [--dpm] [--seed N] [--grid N]
                       [--integrator I] [--stack-order O] [--tsv V] [--sensor S]
   therm3d cache       compact --cache-dir DIR
-  therm3d cache       merge --cache-dir OUT_DIR SHARD_DIR [SHARD_DIR ...]
   therm3d help
 
   E = exp1..exp4   P = figure label (Default, CGate, DVFS_TT, Adapt3D, ...)
@@ -254,8 +214,9 @@ USAGE:
 
   `check` is the dry-run preflight for a campaign: it validates the
   spec, prints the canonical expansion count, a per-axis summary, the
-  shard balance, and — with --cache-dir — how many cells would hit the
-  cache vs. simulate, all without running anything.
+  lease size `serve` would use, and — with --cache-dir — how many cells
+  would hit the cache vs. simulate (the cells a `serve` over that cache
+  would lease), all without running anything.
 
   --cache-dir DIR memoizes results by content-addressed cell key:
   re-running a grown spec only simulates the new cells, and the report
@@ -264,17 +225,6 @@ USAGE:
   `cache compact` rewrites DIR/results.tsv keeping only the newest
   entry per cell key and dropping stale-salt and corrupt lines.
 
-  --shard K/N runs only shard K (zero-based) of an N-way split of the
-  matrix — round-robin over the canonical cell order, so shards are
-  balanced and disjoint. Each shard's CSV carries a leading `shard`
-  provenance column; `therm3d merge` recombines shard CSVs into the
-  canonical report (byte-identical to an unsharded run) and `cache
-  merge` unions shard cache directories (follow with `cache compact`
-  to drop shadowed lines). `shard-plan` prints the N command lines
-  (plus merge hints) that execute such a split, one shard per line;
-  with --serve it prints the serve/work lines of a leased campaign
-  over N workers instead.
-
   `serve` + `work` run a campaign as a service with work stealing:
   the coordinator owns the canonical expansion and leases cell ranges
   over TCP; workers request leases, simulate through the ordinary
@@ -282,8 +232,11 @@ USAGE:
   or goes silent past --lease-timeout has its range re-issued, so the
   campaign always completes, and the merged report/CSV is
   byte-identical to a single-process `therm3d sweep` of the same spec
-  for any number of workers. --port-file writes the bound address
-  (useful with port 0) once the coordinator is listening.
+  for any number of workers. With --cache-dir the coordinator answers
+  every cell its cache already holds before leasing the rest, so a
+  fully warm campaign completes with no workers at all. --port-file
+  writes the bound address (useful with port 0) once the coordinator
+  is listening.
 
   Observability (stderr/sidecar only; stdout stays byte-identical):
   --progress redraws a throttled cells/s + hit-rate + ETA line on
@@ -340,51 +293,35 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
     let Some(sub) = items.first().cloned() else {
         return Ok(Command::Help);
     };
-    // `cache` takes a verb: `therm3d cache compact --cache-dir DIR` or
-    // `therm3d cache merge --cache-dir OUT_DIR SHARD_DIR ...`.
-    let mut cache_verb: Option<&'static str> = None;
+    // Name an unknown subcommand before its arguments are read as flags,
+    // so `therm3d merge a.csv` reports the subcommand, not `a.csv`.
+    let known = "run sweep check serve work steady trace reliability cache help --help -h";
+    if !known.split(' ').any(|name| name == sub) {
+        return Err(ParseCliError(format!("unknown subcommand `{sub}`")));
+    }
+    // `cache` takes a verb: `therm3d cache compact --cache-dir DIR`.
     if sub == "cache" {
         match items.get(1).map(String::as_str) {
             Some("compact") => {
-                cache_verb = Some("compact");
-                items.remove(1);
-            }
-            Some("merge") => {
-                cache_verb = Some("merge");
                 items.remove(1);
             }
             Some(other) => {
                 return Err(ParseCliError(format!(
-                    "unknown cache verb `{other}` (expected `compact` or `merge`)"
+                    "unknown cache verb `{other}` (expected `compact`)"
                 )));
             }
             None => {
                 return Err(ParseCliError(
-                    "`cache` needs a verb: `therm3d cache compact --cache-dir DIR` or \
-                     `therm3d cache merge --cache-dir OUT_DIR SHARD_DIR ...`"
-                        .into(),
+                    "`cache` needs a verb: `therm3d cache compact --cache-dir DIR`".into(),
                 ));
             }
         }
     }
-    // `merge` and `cache merge` take positional paths anywhere among
-    // their flags; pull them out so the flag loop below sees only flags.
-    let mut positionals: Vec<String> = Vec::new();
-    if sub == "merge" || cache_verb == Some("merge") {
-        let mut i = 1;
-        while i < items.len() {
-            if items[i].starts_with('-') {
-                i += if items[i] == "--cache-dir" { 2 } else { 1 };
-            } else {
-                positionals.push(items.remove(i));
-            }
-        }
-    }
-    // `sweep`, `shard-plan`, `check` and `serve` take an optional
-    // positional spec file anywhere among their flags; skip over tokens
-    // that are values of value-taking flags.
+    // `sweep`, `check` and `serve` take an optional positional spec file
+    // anywhere among their flags; skip over tokens that are values of
+    // value-taking flags.
     let mut spec_path: Option<String> = None;
-    if sub == "sweep" || sub == "shard-plan" || sub == "check" || sub == "serve" {
+    if sub == "sweep" || sub == "check" || sub == "serve" {
         let takes_value = |flag: &str| {
             matches!(
                 flag,
@@ -403,8 +340,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
                     | "--threads"
                     | "--format"
                     | "--cache-dir"
-                    | "--shard"
-                    | "--count"
                     | "--trace-out"
                     | "--metrics-out"
                     | "--listen"
@@ -438,8 +373,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
     let mut cache_stats = false;
-    let mut shard: Option<ShardSpec> = None;
-    let mut count: Option<usize> = None;
     let mut progress = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -449,7 +382,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
     let mut lease_timeout: Option<f64> = None;
     let mut throttle_ms: Option<u64> = None;
     let mut port_file: Option<String> = None;
-    let mut serve_plan = false;
     let mut sim_flags: Vec<String> = Vec::new();
 
     while t.pos + 1 < t.items.len() {
@@ -500,10 +432,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
             "--cache-dir" => cache_dir = Some(t.next_value("--cache-dir")?),
             "--no-cache" => no_cache = true,
             "--cache-stats" => cache_stats = true,
-            // ShardSpec::from_str validates the range, so `3/3` and
-            // `0/0` die here at parse time with the valid range named.
-            "--shard" => shard = Some(parse_num("--shard", &t.next_value("--shard")?)?),
-            "--count" => count = Some(parse_num("--count", &t.next_value("--count")?)?),
             "--progress" => progress = true,
             "--trace-out" => trace_out = Some(t.next_value("--trace-out")?),
             "--metrics-out" => metrics_out = Some(t.next_value("--metrics-out")?),
@@ -518,32 +446,29 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
                 throttle_ms = Some(parse_num("--throttle-ms", &t.next_value("--throttle-ms")?)?);
             }
             "--port-file" => port_file = Some(t.next_value("--port-file")?),
-            "--serve" => serve_plan = true,
             "--dpm" => sim.dpm = true,
             "--csv" => csv = true,
             other => return Err(ParseCliError(format!("unknown flag `{other}`"))),
         }
     }
-    if sim.seconds <= 0.0 {
-        return Err(ParseCliError("`--seconds` must be positive".into()));
+    if !(sim.seconds > 0.0 && sim.seconds.is_finite()) {
+        return Err(ParseCliError("`--seconds` must be positive and finite".into()));
     }
     if sim.grid == 0 {
         return Err(ParseCliError("`--grid` must be at least 1".into()));
     }
     let spec_sweep = sub == "sweep" && spec_path.is_some();
-    let shard_plan = sub == "shard-plan";
     let serve_cmd = sub == "serve";
     let work_cmd = sub == "work";
     // Only a spec-file sweep consumes these; reject them anywhere else
-    // rather than dropping them silently. `shard-plan` forwards
-    // `--threads` into the lines it prints; `serve` renders a report
+    // rather than dropping them silently. `serve` renders a report
     // (`--format`) and `work` runs leased cells (`--threads`).
-    if (threads.is_some() && !(spec_sweep || shard_plan || work_cmd))
+    if (threads.is_some() && !(spec_sweep || work_cmd))
         || (format.is_some() && !(spec_sweep || serve_cmd))
     {
         return Err(ParseCliError(
             "`--threads` and `--format` only apply to `sweep SPEC.toml` \
-             (`shard-plan` and `work` also take `--threads`; `serve` also takes `--format`)"
+             (`work` also takes `--threads`; `serve` also takes `--format`)"
                 .into(),
         ));
     }
@@ -555,12 +480,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
              (`serve` also takes `--progress`)"
                 .into(),
         ));
-    }
-    if count.is_some() && !shard_plan {
-        return Err(ParseCliError("`--count` only applies to `shard-plan SPEC.toml`".into()));
-    }
-    if serve_plan && !shard_plan {
-        return Err(ParseCliError("`--serve` only applies to `shard-plan SPEC.toml`".into()));
     }
     if (listen.is_some() || lease.is_some() || lease_timeout.is_some() || port_file.is_some())
         && !serve_cmd
@@ -575,13 +494,12 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
         return Err(ParseCliError("`--connect` and `--throttle-ms` only apply to `work`".into()));
     }
     if (cache_dir.is_some()
-        && !(spec_sweep || shard_plan || serve_cmd || work_cmd || sub == "cache" || sub == "check"))
+        && !(spec_sweep || serve_cmd || work_cmd || sub == "cache" || sub == "check"))
         || ((no_cache || cache_stats) && !spec_sweep)
     {
         return Err(ParseCliError(
-            "`--cache-dir` only applies to `sweep SPEC.toml`, `shard-plan`, `check`, `serve`, \
-             `work`, `cache compact` and `cache merge`; `--no-cache` and `--cache-stats` only \
-             apply to `sweep SPEC.toml`"
+            "`--cache-dir` only applies to `sweep SPEC.toml`, `check`, `serve`, `work` and \
+             `cache compact`; `--no-cache` and `--cache-stats` only apply to `sweep SPEC.toml`"
                 .into(),
         ));
     }
@@ -597,9 +515,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
         } else {
             "`--cache-stats` requires `--cache-dir DIR`".into()
         }));
-    }
-    if shard.is_some() && !spec_sweep {
-        return Err(ParseCliError("`--shard` only applies to `sweep SPEC.toml`".into()));
     }
     if format.is_some() && csv && spec_path.is_some() {
         return Err(ParseCliError(
@@ -630,7 +545,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
                     }),
                     cache_dir,
                     cache_stats,
-                    shard,
                     progress,
                     trace_out,
                     metrics_out,
@@ -651,27 +565,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
             }
             Ok(Command::Check { path, cache_dir })
         }
-        "shard-plan" => {
-            let Some(path) = spec_path else {
-                return Err(ParseCliError(
-                    "`shard-plan` needs a spec file: `therm3d shard-plan SPEC.toml --count N`"
-                        .into(),
-                ));
-            };
-            if !sim_flags.is_empty() || csv {
-                return Err(ParseCliError(format!(
-                    "`shard-plan` only takes `--count N`, `--cache-dir DIR`, `--threads N` and \
-                     `--serve`; set the matrix in `{path}` instead"
-                )));
-            }
-            let Some(count) = count else {
-                return Err(ParseCliError("`shard-plan` requires `--count N`".into()));
-            };
-            if count == 0 {
-                return Err(ParseCliError("`--count` must be at least 1".into()));
-            }
-            Ok(Command::ShardPlan { path, count, cache_dir, threads, serve: serve_plan })
-        }
         "serve" => {
             let Some(path) = spec_path else {
                 return Err(ParseCliError(
@@ -691,8 +584,8 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
             if lease == Some(0) {
                 return Err(ParseCliError("`--lease` must be at least 1 cell".into()));
             }
-            if lease_timeout.is_some_and(|t| t <= 0.0) {
-                return Err(ParseCliError("`--lease-timeout` must be positive".into()));
+            if lease_timeout.is_some_and(|t| !(t > 0.0 && t.is_finite())) {
+                return Err(ParseCliError("`--lease-timeout` must be positive and finite".into()));
             }
             Ok(Command::Serve {
                 path,
@@ -739,47 +632,14 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
             }
         }
         "reliability" => Ok(Command::Reliability { sim, policy }),
-        "merge" => {
-            if !sim_flags.is_empty() || csv {
-                return Err(ParseCliError(
-                    "`merge` only takes paths: `therm3d merge OUT.csv SHARD.csv ...`".into(),
-                ));
-            }
-            let mut paths = positionals;
-            if paths.len() < 2 {
-                return Err(ParseCliError(
-                    "`merge` needs an output and at least one shard report: \
-                     `therm3d merge OUT.csv SHARD.csv ...`"
-                        .into(),
-                ));
-            }
-            let out = paths.remove(0);
-            Ok(Command::Merge { out, inputs: paths })
-        }
         "cache" => {
-            let verb = cache_verb.unwrap_or("compact");
             if !sim_flags.is_empty() || csv {
-                return Err(ParseCliError(format!(
-                    "`cache {verb}` only takes `--cache-dir DIR`{}",
-                    if verb == "merge" { " and source directories" } else { "" }
-                )));
+                return Err(ParseCliError("`cache compact` only takes `--cache-dir DIR`".into()));
             }
             let Some(dir) = cache_dir else {
-                return Err(ParseCliError(format!("`cache {verb}` requires `--cache-dir DIR`")));
+                return Err(ParseCliError("`cache compact` requires `--cache-dir DIR`".into()));
             };
-            match verb {
-                "merge" => {
-                    if positionals.is_empty() {
-                        return Err(ParseCliError(
-                            "`cache merge` needs at least one source directory: \
-                             `therm3d cache merge --cache-dir OUT_DIR SHARD_DIR ...`"
-                                .into(),
-                        ));
-                    }
-                    Ok(Command::CacheMerge { dir, sources: positionals })
-                }
-                _ => Ok(Command::CacheCompact { dir }),
-            }
+            Ok(Command::CacheCompact { dir })
         }
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(ParseCliError(format!("unknown subcommand `{other}`"))),
@@ -895,77 +755,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_flag_parses_and_is_validated_at_parse_time() {
-        let cmd = parse(argv("sweep s.toml --shard 1/3")).unwrap();
-        assert!(
-            matches!(cmd, Command::SweepFile { shard: Some(ShardSpec { index: 1, count: 3 }), .. }),
-            "{cmd:?}"
-        );
-        // Without the flag the spec's own `shard` key stays in charge.
-        let cmd = parse(argv("sweep s.toml")).unwrap();
-        assert!(matches!(cmd, Command::SweepFile { shard: None, .. }), "{cmd:?}");
-        // index == count and 0/0 die at parse time, naming the valid
-        // range — never an empty report.
-        let err = parse(argv("sweep s.toml --shard 3/3")).unwrap_err().0;
-        assert!(err.contains("--shard") && err.contains("0/3..=2/3"), "{err}");
-        let err = parse(argv("sweep s.toml --shard 0/0")).unwrap_err().0;
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse(argv("sweep s.toml --shard whole")).unwrap_err().0;
-        assert!(err.contains("K/N"), "{err}");
-        // The flag only means something on a spec-file sweep.
-        for line in ["run --shard 0/2", "sweep --shard 0/2", "trace --shard 1/2"] {
-            let err = parse(argv(line)).unwrap_err().0;
-            assert!(err.contains("sweep SPEC.toml"), "{line}: {err}");
+    fn static_sharding_commands_are_gone() {
+        // Campaigns are split by `serve`/`work` leases; the static-shard
+        // surface fails like any other unknown input.
+        let err = parse(argv("sweep s.toml --shard 1/3")).unwrap_err().0;
+        assert!(err.contains("unknown flag `--shard`"), "{err}");
+        let err = parse(argv("merge out.csv a.csv b.csv")).unwrap_err().0;
+        assert!(err.contains("unknown subcommand `merge`"), "{err}");
+        let err = parse(argv("shard-plan s.toml --count 3 --serve")).unwrap_err().0;
+        assert!(err.contains("unknown subcommand `shard-plan`"), "{err}");
+        let err = parse(argv("cache merge --cache-dir /tmp/out /tmp/s0")).unwrap_err().0;
+        assert!(err.contains("unknown cache verb `merge`"), "{err}");
+        for flag in ["--count 3", "--serve"] {
+            let err = parse(argv(&format!("check s.toml {flag}"))).unwrap_err().0;
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
         }
-        // The positional scan must not mistake the shard value for the
-        // spec path.
-        let cmd = parse(argv("sweep --shard 2/4 s.toml")).unwrap();
-        assert!(
-            matches!(&cmd, Command::SweepFile { path, shard: Some(ShardSpec { index: 2, count: 4 }), .. } if path == "s.toml"),
-            "{cmd:?}"
-        );
-    }
-
-    #[test]
-    fn merge_parses_out_and_inputs() {
-        assert_eq!(
-            parse(argv("merge out.csv a.csv b.csv c.csv")).unwrap(),
-            Command::Merge {
-                out: "out.csv".into(),
-                inputs: vec!["a.csv".into(), "b.csv".into(), "c.csv".into()]
-            }
-        );
-        // One input is the N=1 pass-through; zero inputs is an error.
-        assert!(parse(argv("merge out.csv a.csv")).is_ok());
-        assert!(parse(argv("merge out.csv")).unwrap_err().0.contains("at least one"), "need input");
-        assert!(parse(argv("merge")).unwrap_err().0.contains("at least one"));
-        // Stray flags are rejected, not dropped.
-        assert!(parse(argv("merge out.csv a.csv --csv")).is_err());
-        assert!(parse(argv("merge out.csv a.csv --exp exp1")).is_err());
-    }
-
-    #[test]
-    fn cache_merge_parses_dir_and_sources() {
-        assert_eq!(
-            parse(argv("cache merge --cache-dir /tmp/out /tmp/s0 /tmp/s1")).unwrap(),
-            Command::CacheMerge {
-                dir: "/tmp/out".into(),
-                sources: vec!["/tmp/s0".into(), "/tmp/s1".into()]
-            }
-        );
-        // Sources may precede the flag (the scan skips the flag value).
-        assert_eq!(
-            parse(argv("cache merge /tmp/s0 --cache-dir /tmp/out /tmp/s1")).unwrap(),
-            Command::CacheMerge {
-                dir: "/tmp/out".into(),
-                sources: vec!["/tmp/s0".into(), "/tmp/s1".into()]
-            }
-        );
-        let err = parse(argv("cache merge --cache-dir /tmp/out")).unwrap_err().0;
-        assert!(err.contains("source"), "{err}");
-        let err = parse(argv("cache merge /tmp/s0")).unwrap_err().0;
-        assert!(err.contains("--cache-dir"), "{err}");
-        assert!(parse(argv("cache merge --cache-dir /tmp/out /tmp/s0 --csv")).is_err());
     }
 
     #[test]
@@ -1030,7 +834,6 @@ mod tests {
                 format: SweepFormat::Json,
                 cache_dir: None,
                 cache_stats: false,
-                shard: None,
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
@@ -1051,7 +854,6 @@ mod tests {
                 format: SweepFormat::Json,
                 cache_dir: None,
                 cache_stats: false,
-                shard: None,
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
@@ -1066,7 +868,6 @@ mod tests {
                 format: SweepFormat::Csv,
                 cache_dir: None,
                 cache_stats: false,
-                shard: None,
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
@@ -1085,7 +886,6 @@ mod tests {
                 format: SweepFormat::Table,
                 cache_dir: None,
                 cache_stats: false,
-                shard: None,
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
@@ -1100,7 +900,6 @@ mod tests {
                 format: SweepFormat::Csv,
                 cache_dir: None,
                 cache_stats: false,
-                shard: None,
                 progress: false,
                 trace_out: None,
                 metrics_out: None,
@@ -1213,54 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_parses_and_validates() {
-        assert_eq!(
-            parse(argv("shard-plan s.toml --count 4")).unwrap(),
-            Command::ShardPlan {
-                path: "s.toml".into(),
-                count: 4,
-                cache_dir: None,
-                threads: None,
-                serve: false
-            }
-        );
-        // Forwarded flags ride along; the positional may follow them.
-        assert_eq!(
-            parse(argv("shard-plan --count 3 --cache-dir /tmp/c --threads 2 s.toml")).unwrap(),
-            Command::ShardPlan {
-                path: "s.toml".into(),
-                count: 3,
-                cache_dir: Some("/tmp/c".into()),
-                threads: Some(2),
-                serve: false
-            }
-        );
-        // `--serve` switches the plan to serve/work lines.
-        assert_eq!(
-            parse(argv("shard-plan s.toml --count 3 --serve")).unwrap(),
-            Command::ShardPlan {
-                path: "s.toml".into(),
-                count: 3,
-                cache_dir: None,
-                threads: None,
-                serve: true
-            }
-        );
-        // ... and means nothing elsewhere.
-        assert!(parse(argv("sweep s.toml --serve")).unwrap_err().0.contains("shard-plan"));
-        // Missing pieces and misuse are named, not silently defaulted.
-        assert!(parse(argv("shard-plan s.toml")).unwrap_err().0.contains("--count"));
-        assert!(parse(argv("shard-plan --count 4")).unwrap_err().0.contains("spec file"));
-        assert!(parse(argv("shard-plan s.toml --count 0")).unwrap_err().0.contains("at least 1"));
-        let err = parse(argv("shard-plan s.toml --count 4 --csv")).unwrap_err().0;
-        assert!(err.contains("only takes"), "{err}");
-        let err = parse(argv("shard-plan s.toml --count 4 --exp exp1")).unwrap_err().0;
-        assert!(err.contains("s.toml"), "{err}");
-        // `--count` means nothing elsewhere.
-        assert!(parse(argv("sweep s.toml --count 4")).unwrap_err().0.contains("shard-plan"));
-    }
-
-    #[test]
     fn check_parses_and_validates() {
         assert_eq!(
             parse(argv("check s.toml")).unwrap(),
@@ -1278,7 +1029,6 @@ mod tests {
         assert!(err.contains("only takes"), "{err}");
         // Run-only flags stay rejected here.
         assert!(parse(argv("check s.toml --threads 2")).unwrap_err().0.contains("--threads"));
-        assert!(parse(argv("check s.toml --shard 0/2")).unwrap_err().0.contains("--shard"));
     }
 
     #[test]
@@ -1321,6 +1071,8 @@ mod tests {
         assert!(parse(argv("serve s.toml --listen :0 --lease 0")).unwrap_err().0.contains("lease"));
         let err = parse(argv("serve s.toml --listen :0 --lease-timeout 0")).unwrap_err().0;
         assert!(err.contains("positive"), "{err}");
+        let err = parse(argv("serve s.toml --listen :0 --lease-timeout nan")).unwrap_err().0;
+        assert!(err.contains("finite"), "{err}");
         let err = parse(argv("serve s.toml --listen :0 --exp exp1")).unwrap_err().0;
         assert!(err.contains("s.toml"), "{err}");
         let err = parse(argv("serve s.toml --listen :0 --format json --csv")).unwrap_err().0;
@@ -1372,6 +1124,11 @@ mod tests {
         assert!(parse(argv("run --exp")).unwrap_err().0.contains("missing value"));
         assert!(parse(argv("run --wat 3")).unwrap_err().0.contains("unknown flag"));
         assert!(parse(argv("run -t 0")).unwrap_err().0.contains("positive"));
+        // NaN and infinity parse as floats; the engine cannot run them.
+        for bad in ["nan", "inf"] {
+            let err = parse(argv(&format!("run -t {bad}"))).unwrap_err().0;
+            assert!(err.contains("finite"), "{bad}: {err}");
+        }
         assert!(parse(argv("run --grid 0")).unwrap_err().0.contains("at least 1"));
     }
 

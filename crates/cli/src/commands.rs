@@ -96,7 +96,6 @@ fn run_sweep_file(
     format: SweepFormat,
     cache_dir: Option<&str>,
     cache_stats: bool,
-    shard: Option<therm3d_sweep::ShardSpec>,
     telemetry_opts: &SweepTelemetryOpts<'_>,
 ) -> Result<(String, Option<String>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -104,9 +103,6 @@ fn run_sweep_file(
         therm3d_sweep::from_toml(&text).map_err(|e| format!("invalid sweep spec `{path}`: {e}"))?;
     if let Some(threads) = threads {
         spec = spec.with_threads(threads);
-    }
-    if let Some(shard) = shard {
-        spec = spec.with_shard(shard);
     }
     let mut store = match cache_dir {
         Some(dir) => {
@@ -153,18 +149,17 @@ fn run_sweep_file(
         std::fs::write(out_path, snap.to_json())
             .map_err(|e| format!("cannot write `--metrics-out {out_path}`: {e}"))?;
     }
-    // The counters line carries the shard id (`cache[1/3]: ...`) so N
-    // shards logging to one stream stay attributable.
     let stats = match (&store, cache_stats) {
-        (Some(store), true) => Some(store.summary_for(spec.shard)),
+        (Some(store), true) => Some(store.summary()),
         _ => None,
     };
     Ok((out, stats))
 }
 
 /// Renders the `check` preflight report: spec validity, canonical
-/// expansion count, per-axis summary, shard balance and — with a cache
-/// directory — how many cells would hit the cache vs. simulate.
+/// expansion count, per-axis summary, lease size and — with a cache
+/// directory — how many cells would hit the cache vs. simulate (which
+/// is also what a `serve` over that cache would lease out).
 /// Nothing is simulated and nothing is written (the cache is only
 /// probed), so preflighting a week-long campaign costs milliseconds.
 fn check_spec(path: &str, cache_dir: Option<&str>) -> Result<String, String> {
@@ -236,161 +231,27 @@ fn check_spec(path: &str, cache_dir: Option<&str>) -> Result<String, String> {
         "  coordinator: {total} cells, lease size {lease} (override with `serve --lease N`)"
     );
 
-    if spec.shard.is_full() {
-        let _ = writeln!(out, "  shard: full matrix (split with --shard K/N or `shard-plan`)");
-    } else {
-        // Round-robin balance: every shard of the split, this one marked.
-        let count = spec.shard.count;
-        let balance = (0..count)
-            .map(|k| {
-                let cells = total / count + usize::from(k < total % count);
-                if k == spec.shard.index {
-                    format!("[{k}:{cells}]")
-                } else {
-                    format!("{k}:{cells}")
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(
-            out,
-            "  shard {}: {} of {total} cells (balance {balance})",
-            spec.shard,
-            spec.shard.cell_count(total)
-        );
-    }
-
     if let Some(dir) = cache_dir {
         // Probe the store with the same content-addressed keys a run
         // would use; lookups only touch in-memory stats, never the disk.
         let mut store =
             therm3d_sweep::CacheStore::open(std::path::Path::new(dir)).map_err(String::from)?;
-        let run_cells = therm3d_sweep::expand_shard(&spec);
-        let warm = run_cells
+        let warm = cells
             .iter()
             .filter(|cell| store.lookup(&therm3d_sweep::cell_key(&spec, cell)).is_some())
             .count();
-        let cold = run_cells.len() - warm;
-        let pct =
-            if run_cells.is_empty() { 100.0 } else { 100.0 * warm as f64 / run_cells.len() as f64 };
+        let cold = total - warm;
+        let pct = if total == 0 { 100.0 } else { 100.0 * warm as f64 / total as f64 };
         let _ = writeln!(
             out,
-            "  cache `{dir}`: {warm} warm, {cold} cold of {} cell(s) ({pct:.1}% warm, \
+            "  cache `{dir}`: {warm} warm, {cold} cold of {total} cell(s) ({pct:.1}% warm, \
              {} entries in store)",
-            run_cells.len(),
             store.len()
         );
+        // `serve` answers warm cells from its own cache before leasing.
+        let _ = writeln!(out, "  serve --cache-dir {dir}: would lease {cold} cell(s)");
     }
     Ok(out)
-}
-
-/// Renders the `shard-plan` output: one ready-to-run `therm3d sweep`
-/// line per shard plus `#`-commented context and merge hints, so the
-/// whole block can be pasted into a shell (or an sbatch template)
-/// as-is. With `serve`, prints the serve/work lines of a leased
-/// campaign instead of the static `--shard K/N` split.
-fn shard_plan(
-    path: &str,
-    count: usize,
-    cache_dir: Option<&str>,
-    threads: Option<usize>,
-    serve: bool,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let spec =
-        therm3d_sweep::from_toml(&text).map_err(|e| format!("invalid sweep spec `{path}`: {e}"))?;
-    let total = therm3d_sweep::expand(&spec).len();
-    if count > total {
-        return Err(format!(
-            "`--count {count}` exceeds the matrix: `{path}` expands to {total} cell{}",
-            if total == 1 { "" } else { "s" }
-        ));
-    }
-    let mut out = String::new();
-    if serve {
-        // One coordinator, N workers, one shared address. Leases do the
-        // splitting, so there is no per-worker shard index and the
-        // merged CSV needs no `therm3d merge` step.
-        const ADDR: &str = "127.0.0.1:7103";
-        let lease = therm3d_coord::default_lease_cells(total);
-        let _ = writeln!(
-            out,
-            "# campaign '{}': {total} cells over {count} worker{} (leased, lease size {lease}; \
-             any assignment is byte-identical)",
-            spec.name,
-            if count == 1 { "" } else { "s" }
-        );
-        let cache_arg = cache_dir.map(|d| format!(" --cache-dir {d}")).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "therm3d serve {path} --listen {ADDR}{cache_arg} --format csv \
-             > {}.csv  # coordinator, {total} cell{}",
-            spec.name,
-            if total == 1 { "" } else { "s" }
-        );
-        let threads_arg = threads.map(|n| format!(" --threads {n}")).unwrap_or_default();
-        for k in 1..=count {
-            let _ = writeln!(out, "therm3d work --connect {ADDR}{threads_arg}  # worker {k}");
-        }
-        return Ok(out);
-    }
-    let _ = writeln!(
-        out,
-        "# sweep '{}': {total} cells over {count} shard{} (round-robin, disjoint)",
-        spec.name,
-        if count == 1 { "" } else { "s" }
-    );
-    let threads_arg = threads.map(|n| format!(" --threads {n}")).unwrap_or_default();
-    for k in 0..count {
-        // Round-robin over the canonical order: shard k takes cells
-        // k, k+count, k+2*count, ...
-        let cells = total / count + usize::from(k < total % count);
-        let cache_arg = cache_dir.map(|d| format!(" --cache-dir {d}-{k}")).unwrap_or_default();
-        let _ = writeln!(
-            out,
-            "therm3d sweep {path} --shard {k}/{count}{threads_arg}{cache_arg} --format csv \
-             > {}-shard-{k}.csv  # {cells} cell{}",
-            spec.name,
-            if cells == 1 { "" } else { "s" }
-        );
-    }
-    let shards: Vec<String> = (0..count).map(|k| format!("{}-shard-{k}.csv", spec.name)).collect();
-    let _ = writeln!(out, "# merge: therm3d merge {}.csv {}", spec.name, shards.join(" "));
-    if let Some(dir) = cache_dir {
-        let dirs: Vec<String> = (0..count).map(|k| format!("{dir}-{k}")).collect();
-        let _ = writeln!(
-            out,
-            "# caches: therm3d cache merge --cache-dir {dir} {} && \
-             therm3d cache compact --cache-dir {dir}",
-            dirs.join(" ")
-        );
-    }
-    Ok(out)
-}
-
-/// Merges shard CSV reports into the canonical CSV and writes it to
-/// `out` — byte-identical to what one unsharded run would print.
-fn merge_reports(out: &str, inputs: &[String]) -> Result<String, String> {
-    let texts: Vec<(String, String)> = inputs
-        .iter()
-        .map(|path| {
-            std::fs::read_to_string(path)
-                .map(|text| (path.clone(), text))
-                .map_err(|e| format!("cannot read `{path}`: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let borrowed: Vec<(&str, &str)> =
-        texts.iter().map(|(name, text)| (name.as_str(), text.as_str())).collect();
-    let merged = therm3d_sweep::merge_csv(&borrowed)?;
-    let cells = merged.lines().count() - 1;
-    std::fs::write(out, &merged).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    Ok(format!("merged {} shard report{} ({cells} cells) -> {out}\n", inputs.len(), {
-        if inputs.len() == 1 {
-            ""
-        } else {
-            "s"
-        }
-    }))
 }
 
 fn steady_report(exp: Experiment, grid: usize) -> String {
@@ -486,7 +347,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             format,
             cache_dir,
             cache_stats,
-            shard,
             progress,
             trace_out,
             metrics_out,
@@ -502,7 +362,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 *format,
                 cache_dir.as_deref(),
                 *cache_stats,
-                *shard,
                 &telemetry_opts,
             )?;
             out.push_str(&report);
@@ -512,9 +371,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         }
         Command::Check { path, cache_dir } => {
             out.push_str(&check_spec(path, cache_dir.as_deref())?);
-        }
-        Command::ShardPlan { path, count, cache_dir, threads, serve } => {
-            out.push_str(&shard_plan(path, *count, cache_dir.as_deref(), *threads, *serve)?);
         }
         Command::Serve {
             path,
@@ -571,44 +427,11 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 summary.cells, summary.leases
             );
         }
-        Command::Merge { out: merged_path, inputs } => {
-            out.push_str(&merge_reports(merged_path, inputs)?);
-        }
         Command::CacheCompact { dir } => {
             let mut store =
                 therm3d_sweep::CacheStore::open(std::path::Path::new(dir)).map_err(String::from)?;
             let stats = store.compact().map_err(String::from)?;
             let _ = writeln!(out, "cache compact: {stats} ({})", store.path().display());
-        }
-        Command::CacheMerge { dir, sources } => {
-            // Sources are read-only and must actually hold a store: a
-            // mistyped directory must not be silently created/treated
-            // as empty (that would drop a shard's entries with exit 0).
-            for src in sources {
-                let store_file = std::path::Path::new(src).join(therm3d_sweep::cache::STORE_FILE);
-                if !store_file.is_file() {
-                    return Err(format!(
-                        "cache merge source `{src}` has no {} (wrong path?)",
-                        therm3d_sweep::cache::STORE_FILE
-                    ));
-                }
-            }
-            let mut dest =
-                therm3d_sweep::CacheStore::open(std::path::Path::new(dir)).map_err(String::from)?;
-            let mut total = therm3d_sweep::MergeStats::default();
-            for src in sources {
-                let src_store = therm3d_sweep::CacheStore::open(std::path::Path::new(src))
-                    .map_err(String::from)?;
-                let stats = dest.merge_from(&src_store).map_err(String::from)?;
-                let _ = writeln!(out, "cache merge: {stats} from {src}");
-                total += stats;
-            }
-            let _ = writeln!(
-                out,
-                "cache merge: {total} total, {} entries ({})",
-                dest.len(),
-                dest.path().display()
-            );
         }
         Command::Steady { exp, grid } => out.push_str(&steady_report(*exp, *grid)),
         Command::Trace { benchmark, cores, seconds, seed, csv } => {
@@ -747,11 +570,12 @@ mod tests {
         assert!(out.contains("cells: 4 = 1 experiment(s)"), "{out}");
         assert!(out.contains("policies:     Default, Adapt3D"), "{out}");
         assert!(out.contains("dpm:          off, on"), "{out}");
-        assert!(out.contains("full matrix"), "{out}");
+        assert!(out.contains("coordinator: 4 cells, lease size 1"), "{out}");
         // 2 policies x 2 dpm only differ in control, never in the RC
         // network: one thermal model serves all four cells.
         assert!(out.contains("thermal models: 1 distinct across 4 cell(s)"), "{out}");
         assert!(out.contains("0 warm, 4 cold"), "{out}");
+        assert!(out.contains("would lease 4 cell(s)"), "{out}");
 
         // Simulate the campaign into the cache, then the same preflight
         // reports everything warm.
@@ -761,7 +585,6 @@ mod tests {
             format: SweepFormat::Csv,
             cache_dir: Some(cache.clone()),
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -770,25 +593,7 @@ mod tests {
         let out = check_spec(&spec_path, Some(&cache)).unwrap();
         assert!(out.contains("4 warm, 0 cold"), "{out}");
         assert!(out.contains("100.0% warm"), "{out}");
-
-        // A sharded spec reports its share and the full balance.
-        let sharded = dir.join("sharded.toml");
-        std::fs::write(
-            &sharded,
-            "name = \"check-test\"\n\
-             experiments = [\"exp1\"]\n\
-             policies = [\"Default\", \"Adapt3D\"]\n\
-             dpm = [false, true]\n\
-             benchmarks = [\"gzip\"]\n\
-             sim_seconds = 2.0\n\
-             grid = 4\n\
-             shard = \"1/3\"\n",
-        )
-        .unwrap();
-        let out = check_spec(sharded.to_str().unwrap(), Some(&cache)).unwrap();
-        assert!(out.contains("shard 1/3: 1 of 4 cells"), "{out}");
-        assert!(out.contains("balance 0:2 [1:1] 2:1"), "{out}");
-        assert!(out.contains("1 warm, 0 cold"), "{out}");
+        assert!(out.contains("would lease 0 cell(s)"), "{out}");
 
         // Errors are reported, not panicked.
         assert!(check_spec("/nonexistent/spec.toml", None).unwrap_err().contains("cannot read"));
@@ -822,7 +627,6 @@ mod tests {
             format: SweepFormat::Table,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -837,7 +641,6 @@ mod tests {
             format: SweepFormat::Csv,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -862,7 +665,6 @@ mod tests {
             format: SweepFormat::Json,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -895,7 +697,6 @@ mod tests {
                 SweepFormat::Csv,
                 Some(cache_dir.to_str().unwrap()),
                 true,
-                None,
                 &SweepTelemetryOpts::default(),
             )
             .unwrap()
@@ -916,7 +717,6 @@ mod tests {
             format: SweepFormat::Csv,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -952,7 +752,6 @@ mod tests {
                 SweepFormat::Csv,
                 Some(cache_dir.to_str().unwrap()),
                 true,
-                None,
                 &SweepTelemetryOpts::default(),
             )
             .unwrap()
@@ -976,106 +775,6 @@ mod tests {
         assert!(after_stats.unwrap().starts_with("cache: 8 hits, 0 misses"), "still warm");
         assert_eq!(after, cold);
         let _ = std::fs::remove_dir_all(&cache_dir);
-    }
-
-    #[test]
-    fn sharded_sweep_merge_is_byte_identical_and_merged_cache_serves_warm() {
-        use therm3d_sweep::ShardSpec;
-        let base = std::env::temp_dir().join(format!("therm3d_cli_shard_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let spec_path = base.join("spec.toml");
-        std::fs::write(
-            &spec_path,
-            "name = \"cli-shard\"\n\
-             experiments = [\"exp1\"]\n\
-             policies = [\"Default\", \"Adapt3D\"]\n\
-             dpm = [false, true]\n\
-             benchmarks = [\"gzip\"]\n\
-             sim_seconds = 3.0\n\
-             grid = 4\n",
-        )
-        .unwrap();
-        let p = |path: &std::path::Path| path.to_str().unwrap().to_owned();
-
-        let (full, _) = run_sweep_file(
-            &p(&spec_path),
-            Some(2),
-            SweepFormat::Csv,
-            None,
-            false,
-            None,
-            &SweepTelemetryOpts::default(),
-        )
-        .unwrap();
-
-        // Run the campaign as 3 shards, each with its own cache dir and
-        // CSV; the stats line is tagged with the shard id.
-        let mut shard_paths = Vec::new();
-        for k in 0..3 {
-            let shard = ShardSpec { index: k, count: 3 };
-            let cache = base.join(format!("cache-{k}"));
-            let (csv, stats) = run_sweep_file(
-                &p(&spec_path),
-                Some(1),
-                SweepFormat::Csv,
-                Some(&p(&cache)),
-                true,
-                Some(shard),
-                &SweepTelemetryOpts::default(),
-            )
-            .unwrap();
-            assert!(stats.unwrap().starts_with(&format!("cache[{k}/3]: 0 hits")), "shard {k}");
-            let out = base.join(format!("shard-{k}.csv"));
-            std::fs::write(&out, &csv).unwrap();
-            shard_paths.push(p(&out));
-        }
-
-        // `therm3d merge` reassembles the canonical CSV byte-identically
-        // (shard order must not matter).
-        shard_paths.reverse();
-        let merged_path = base.join("merged.csv");
-        let note =
-            execute(&Command::Merge { out: p(&merged_path), inputs: shard_paths.clone() }).unwrap();
-        assert!(note.starts_with("merged 3 shard reports (4 cells)"), "{note}");
-        assert_eq!(std::fs::read_to_string(&merged_path).unwrap(), full);
-
-        // `therm3d cache merge` unions the shard stores; a warm full run
-        // over the merged store simulates nothing.
-        let merged_cache = base.join("cache-all");
-        let out = execute(&Command::CacheMerge {
-            dir: p(&merged_cache),
-            sources: (0..3).map(|k| p(&base.join(format!("cache-{k}")))).collect(),
-        })
-        .unwrap();
-        assert!(out.contains("appended 4"), "{out}");
-        let (warm, stats) = run_sweep_file(
-            &p(&spec_path),
-            Some(2),
-            SweepFormat::Csv,
-            Some(&p(&merged_cache)),
-            true,
-            None,
-            &SweepTelemetryOpts::default(),
-        )
-        .unwrap();
-        assert!(stats.unwrap().starts_with("cache: 4 hits, 0 misses, 0 inserted"), "fully warm");
-        assert_eq!(warm, full);
-
-        // A mistyped source is an error (and is not created on disk) —
-        // a silent empty merge would drop a shard's entries with exit 0.
-        let typo = base.join("cache-typo");
-        let err = execute(&Command::CacheMerge { dir: p(&merged_cache), sources: vec![p(&typo)] })
-            .unwrap_err();
-        assert!(err.contains("cache-typo") && err.contains("results.tsv"), "{err}");
-        assert!(!typo.exists(), "rejected sources must stay untouched");
-
-        // A dropped shard is a named error, not a silently short CSV.
-        let err =
-            execute(&Command::Merge { out: p(&merged_path), inputs: shard_paths[..2].to_vec() })
-                .unwrap_err();
-        assert!(err.contains("missing cell"), "{err}");
-        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
@@ -1105,7 +804,6 @@ mod tests {
             SweepFormat::Csv,
             None,
             false,
-            None,
             &SweepTelemetryOpts::default(),
         )
         .unwrap();
@@ -1118,7 +816,7 @@ mod tests {
             metrics_out: Some(metrics_path.to_str().unwrap()),
         };
         let (telemetered, _) =
-            run_sweep_file(spec, None, SweepFormat::Csv, None, false, None, &opts).unwrap();
+            run_sweep_file(spec, None, SweepFormat::Csv, None, false, &opts).unwrap();
         assert_eq!(plain, telemetered, "sidecar sinks must not touch stdout");
 
         // The event stream covers all 4 cells, two events each.
@@ -1148,130 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_prints_runnable_lines_and_merge_hints() {
-        let spec_path = std::env::temp_dir().join("therm3d_cli_shard_plan.toml");
-        std::fs::write(
-            &spec_path,
-            "name = \"plan\"\n\
-             experiments = [\"exp1\"]\n\
-             policies = [\"Default\", \"Adapt3D\"]\n\
-             dpm = [false, true]\n\
-             benchmarks = [\"gzip\"]\n\
-             sim_seconds = 2.0\n\
-             grid = 4\n",
-        )
-        .unwrap();
-        let spec = spec_path.to_str().unwrap();
-        let out = execute(&Command::ShardPlan {
-            path: spec.into(),
-            count: 3,
-            cache_dir: Some("/tmp/plan-cache".into()),
-            threads: Some(2),
-            serve: false,
-        })
-        .unwrap();
-        assert!(out.starts_with("# sweep 'plan': 4 cells over 3 shards"), "{out}");
-
-        // Every non-comment line is a `therm3d sweep` invocation our own
-        // parser accepts, with balanced round-robin cell counts.
-        let mut cells_seen = 0;
-        let mut shard_lines = 0;
-        for line in out.lines().filter(|l| !l.starts_with('#')) {
-            shard_lines += 1;
-            let (cmd, annotation) = line.split_once(" > ").expect("redirects to a CSV");
-            let argv: Vec<String> = cmd.split_whitespace().skip(1).map(str::to_owned).collect();
-            let parsed = crate::args::parse(argv).unwrap();
-            assert!(
-                matches!(&parsed, Command::SweepFile { path, threads: Some(2), shard: Some(_), .. } if path == spec),
-                "{line}: {parsed:?}"
-            );
-            cells_seen += annotation
-                .split_once("# ")
-                .and_then(|(_, c)| c.split(' ').next())
-                .and_then(|c| c.parse::<usize>().ok())
-                .expect("cell-count comment");
-        }
-        assert_eq!(shard_lines, 3);
-        assert_eq!(cells_seen, 4, "shards partition the matrix");
-        assert!(out.contains("--cache-dir /tmp/plan-cache-2"), "{out}");
-        assert!(out.contains("# merge: therm3d merge plan.csv plan-shard-0.csv"), "{out}");
-        assert!(out.contains("cache merge --cache-dir /tmp/plan-cache /tmp/plan-cache-0"), "{out}");
-
-        // A plan with more shards than cells names the problem.
-        let err = execute(&Command::ShardPlan {
-            path: spec.into(),
-            count: 9,
-            cache_dir: None,
-            threads: None,
-            serve: false,
-        })
-        .unwrap_err();
-        assert!(err.contains("expands to 4 cells"), "{err}");
-        // Without `--cache-dir` no cache hint is printed.
-        let out = execute(&Command::ShardPlan {
-            path: spec.into(),
-            count: 2,
-            cache_dir: None,
-            threads: None,
-            serve: false,
-        })
-        .unwrap();
-        assert!(!out.contains("cache"), "{out}");
-    }
-
-    #[test]
-    fn shard_plan_serve_prints_runnable_serve_and_work_lines() {
-        let spec_path = std::env::temp_dir().join("therm3d_cli_serve_plan.toml");
-        std::fs::write(
-            &spec_path,
-            "name = \"plan\"\n\
-             experiments = [\"exp1\"]\n\
-             policies = [\"Default\", \"Adapt3D\"]\n\
-             dpm = [false, true]\n\
-             benchmarks = [\"gzip\"]\n\
-             sim_seconds = 2.0\n\
-             grid = 4\n",
-        )
-        .unwrap();
-        let spec = spec_path.to_str().unwrap();
-        let out = execute(&Command::ShardPlan {
-            path: spec.into(),
-            count: 3,
-            cache_dir: Some("/tmp/plan-cache".into()),
-            threads: Some(2),
-            serve: true,
-        })
-        .unwrap();
-        assert!(out.starts_with("# campaign 'plan': 4 cells over 3 workers (leased"), "{out}");
-
-        // Every non-comment line is an invocation our own parser
-        // accepts: one coordinator, then `--count` workers.
-        let lines: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
-        assert_eq!(lines.len(), 1 + 3, "{out}");
-        let (serve_cmd, _) = lines[0].split_once(" > ").expect("coordinator redirects to a CSV");
-        let argv: Vec<String> = serve_cmd.split_whitespace().skip(1).map(str::to_owned).collect();
-        let parsed = crate::args::parse(argv).unwrap();
-        assert!(
-            matches!(&parsed, Command::Serve { path, cache_dir: Some(dir), format: SweepFormat::Csv, .. }
-                if path == spec && dir == "/tmp/plan-cache"),
-            "{parsed:?}"
-        );
-        for worker_line in &lines[1..] {
-            let cmd = worker_line.split_once("  #").map_or(*worker_line, |(c, _)| c);
-            let argv: Vec<String> = cmd.split_whitespace().skip(1).map(str::to_owned).collect();
-            let parsed = crate::args::parse(argv).unwrap();
-            assert!(
-                matches!(&parsed, Command::Work { connect, threads: Some(2), .. }
-                    if connect == "127.0.0.1:7103"),
-                "{worker_line}: {parsed:?}"
-            );
-        }
-        // Serve and work lines point at the same address, and leases
-        // replace shards — no `--shard`, no merge hint.
-        assert!(!out.contains("--shard") && !out.contains("# merge"), "{out}");
-    }
-
-    #[test]
     fn cache_compact_on_a_missing_dir_creates_an_empty_store() {
         let dir =
             std::env::temp_dir().join(format!("therm3d_cli_compact_fresh_{}", std::process::id()));
@@ -1289,7 +863,6 @@ mod tests {
             format: SweepFormat::Table,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,
@@ -1305,7 +878,6 @@ mod tests {
             format: SweepFormat::Table,
             cache_dir: None,
             cache_stats: false,
-            shard: None,
             progress: false,
             trace_out: None,
             metrics_out: None,

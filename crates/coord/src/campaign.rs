@@ -11,6 +11,14 @@
 //! (a lease expired, was re-issued, and the original worker's results
 //! arrived late anyway) produces byte-identical lines and first-write
 //! dedup is always safe.
+//!
+//! Cells can also be done before any lease: the coordinator completes
+//! the cells its own cache holds up front. Every range, fresh or
+//! re-queued, is trimmed of done cells at both ends before it is
+//! granted, so a range that is entirely done is never leased. A done
+//! cell *inside* a granted range is simulated again by the worker;
+//! first-write dedup keeps the first (cached) line, and the bytes are
+//! the same either way.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -200,7 +208,10 @@ impl Campaign {
                 let start = self.next_fresh;
                 let len = self.lease_cells.min(self.total - start);
                 self.next_fresh = start + len;
-                break Some((start, len));
+                match self.trim(start, len) {
+                    Some(range) => break Some(range),
+                    None => continue,
+                }
             }
             break None;
         };
@@ -215,7 +226,7 @@ impl Campaign {
                         start,
                         len,
                         worker: worker.to_string(),
-                        deadline_ms: now_ms + self.lease_timeout_ms,
+                        deadline_ms: now_ms.saturating_add(self.lease_timeout_ms),
                     },
                 );
                 Grant::Range { lease_id: id, start, len }
@@ -230,7 +241,7 @@ impl Campaign {
     pub fn heartbeat(&mut self, lease_id: u64, now_ms: u64) -> bool {
         match self.active.get_mut(&lease_id) {
             Some(lease) => {
-                lease.deadline_ms = now_ms + self.lease_timeout_ms;
+                lease.deadline_ms = now_ms.saturating_add(self.lease_timeout_ms);
                 true
             }
             None => false,
@@ -239,9 +250,13 @@ impl Campaign {
 
     /// Records completed cells. Rows may cover part of a lease (a
     /// throttled worker streams cell by cell); the lease is retired
-    /// once its whole range is done. Duplicate cells are ignored
-    /// (first write wins — results are deterministic, so the bytes are
-    /// identical either way). Returns how many rows were new.
+    /// once its whole range is done. A `lease_id` that names no live
+    /// lease only records the rows: the coordinator completes the cells
+    /// its cache holds under id 0, which no lease ever has, and a late
+    /// worker's rows for an expired lease still count. Duplicate cells
+    /// are ignored (first write wins — results are deterministic, so
+    /// the bytes are identical either way). Returns how many rows were
+    /// new.
     ///
     /// # Errors
     /// A row index at or past the campaign size is rejected.
@@ -268,7 +283,7 @@ impl Campaign {
                 self.active.remove(&lease_id);
             } else if let Some(lease) = self.active.get_mut(&lease_id) {
                 // Partial progress is liveness: push the deadline out.
-                lease.deadline_ms = now_ms + self.lease_timeout_ms;
+                lease.deadline_ms = now_ms.saturating_add(self.lease_timeout_ms);
             }
         }
         Ok(fresh)
@@ -342,6 +357,18 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_timeout_never_expires() {
+        // `--lease-timeout 1e300` saturates to u64::MAX ms; the deadline
+        // must saturate too instead of wrapping into the past.
+        let mut c = Campaign::new(2, 1, u64::MAX);
+        let (id, _, _) = grant_range(c.lease("w1", 5));
+        assert!(c.heartbeat(id, 7));
+        c.complete(id, vec![], 9).unwrap();
+        assert!(c.expire(u64::MAX - 1).is_empty());
+        assert_eq!(c.next_deadline(), Some(u64::MAX));
+    }
+
+    #[test]
     fn next_deadline_tracks_the_earliest_live_lease() {
         let mut c = Campaign::new(6, 2, 100);
         assert_eq!(c.next_deadline(), None, "nothing leased yet");
@@ -386,6 +413,32 @@ mod tests {
         assert!(c.is_complete());
         assert_eq!(c.lease("w1", 530), Grant::Drain);
         assert_eq!(c.done_rows().len(), 2);
+    }
+
+    #[test]
+    fn cells_done_before_any_lease_are_never_leased() {
+        let mut c = Campaign::new(9, 3, 100);
+        // The coordinator's cache already holds cells 0..3, 4 and 6.
+        let warm = [0, 1, 2, 4, 6].map(|i| (i, line(i))).to_vec();
+        assert_eq!(c.complete(0, warm, 0).unwrap(), 5);
+        assert_eq!(c.remaining(), 4);
+        // 0..3 is all done and never leased. 3..6 keeps the done cell 4
+        // in its middle (only the ends are trimmed), and the partly done
+        // fresh range 6..9 is trimmed to 7..9.
+        let (id, start, len) = grant_range(c.lease("w1", 0));
+        assert_eq!((start, len), (3, 3));
+        let (_, start, len) = grant_range(c.lease("w1", 0));
+        assert_eq!((start, len), (7, 2));
+        assert_eq!(c.lease("w1", 0), Grant::Wait, "nothing else is undone");
+        // The worker simulates cell 4 again; first write wins.
+        assert_eq!(c.complete(id, (3..6).map(|i| (i, line(i))).collect(), 10).unwrap(), 2);
+        assert_eq!(c.active_leases(), 1, "lease 3..6 is retired");
+
+        // A campaign that is done before any lease drains at once.
+        let mut warm = Campaign::new(2, 1, 100);
+        warm.complete(0, vec![(0, line(0)), (1, line(1))], 0).unwrap();
+        assert!(warm.is_complete());
+        assert_eq!(warm.lease("w1", 0), Grant::Drain);
     }
 
     #[test]

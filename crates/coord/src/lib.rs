@@ -2,9 +2,10 @@
 //! canonical sweep expansion and leases cell ranges to networked
 //! workers, with work stealing via lease expiry and re-issue.
 //!
-//! PR 5's static `--shard K/N` split assumes homogeneous machines: one
-//! slow or dead worker straggles the whole campaign. This crate
-//! replaces the static split with dynamic leases over TCP:
+//! This crate is the one place that decides how a campaign's cells map
+//! to machines. Leases are dynamic: a fast worker takes more ranges, a
+//! slow or dead one forfeits only what it holds, and every machine only
+//! needs to reach the coordinator's TCP port:
 //!
 //! * [`wire`] — a zero-dependency, length-prefixed, FNV-checksummed
 //!   frame codec and the protocol's nine messages
@@ -23,9 +24,10 @@
 //!   the campaign drains. It expires each lease at its deadline,
 //!   verifies every returned line against the canonical cell keys,
 //!   gives workers a bounded wait to collect their drain, and
-//!   assembles the final [`SweepReport`] (and optionally a single
-//!   `CacheStore`) in canonical order. Nothing on it polls or sleeps:
-//!   every wait is on one condition variable.
+//!   assembles the final [`SweepReport`] in canonical order. With a
+//!   `CacheStore` attached it answers the cells the store holds before
+//!   leasing any, and adds the rest to it. Nothing on it polls or
+//!   sleeps: every wait is on one condition variable.
 //! * [`worker`] — `therm3d work --connect ADDR`: runs leased ranges
 //!   through the ordinary sweep runner (cache, factor sharing,
 //!   threads) and streams encoded rows back.

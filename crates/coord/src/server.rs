@@ -24,6 +24,10 @@
 //! deadline passes without results or heartbeats expires (the hung
 //! case). Both re-queue the range and wake the blocked lease requests.
 //!
+//! With a cache attached, [`Server::run`] first completes every cell the
+//! store already holds, before the accept thread starts, so only the
+//! cold cells are leased and a fully warm campaign needs no worker.
+//!
 //! Determinism contract: cells keep their canonical indices, derived
 //! seeds and cache keys no matter which worker computes them, so the
 //! assembled [`SweepReport`] — and its CSV — is byte-identical to a
@@ -35,10 +39,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use therm3d_sweep::shard::ShardSpec;
 use therm3d_sweep::{
-    cell_key, decode_line, expand, sim_config, to_toml, CacheStore, SweepCell, SweepReport,
-    SweepRow, ENGINE_VERSION,
+    cell_key, decode_line, encode_line, expand, sim_config, to_toml, CacheStore, SweepCell,
+    SweepReport, SweepRow, SweepSpec, ENGINE_VERSION,
 };
 use therm3d_telemetry::Progress;
 
@@ -119,7 +122,7 @@ type Handler = (TcpStream, JoinHandle<()>);
 pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
-    spec_name: String,
+    spec: SweepSpec,
     cells: Vec<SweepCell>,
     shared: Arc<Shared>,
 }
@@ -130,22 +133,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// An invalid or sharded spec (the coordinator owns the split —
-    /// leases replace `--shard`), an empty expansion, or a bind
-    /// failure.
-    pub fn bind(
-        spec: &therm3d_sweep::SweepSpec,
-        listen: &str,
-        opts: &ServeOptions,
-    ) -> Result<Self, String> {
+    /// An invalid spec, an empty expansion, or a bind failure.
+    pub fn bind(spec: &SweepSpec, listen: &str, opts: &ServeOptions) -> Result<Self, String> {
         spec.validate()?;
-        if !spec.shard.is_full() {
-            return Err(format!(
-                "'{}' is sharded ({}); `serve` owns the whole matrix — remove the shard and let \
-                 leases do the splitting",
-                spec.name, spec.shard
-            ));
-        }
         let cells = expand(spec);
         if cells.is_empty() {
             return Err(format!("'{}' expands to zero cells", spec.name));
@@ -171,7 +161,7 @@ impl Server {
         Ok(Self {
             listener,
             local_addr,
-            spec_name: spec.name.clone(),
+            spec: spec.clone(),
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     campaign: Campaign::new(total, lease_cells, timeout_ms),
@@ -203,25 +193,35 @@ impl Server {
         self.shared.lease_cells as usize
     }
 
-    /// Runs the campaign to completion: accepts workers, leases ranges,
+    /// Runs the campaign to completion: answers every cell `cache`
+    /// already holds, accepts workers, leases the remaining ranges,
     /// expires each lease at its deadline, and — once every cell has a
     /// verified result and the workers have been drained — assembles
-    /// the canonical [`SweepReport`] (inserting each result into
-    /// `cache` when one is attached, so a warm re-run simulates
+    /// the canonical [`SweepReport`] (adding each result the cache
+    /// lacks to it, so a warm re-run leases nothing and appends
     /// nothing).
     ///
     /// # Errors
     ///
-    /// Socket errors on the listener, or a corrupt stored result line
-    /// (which the arrival-time verification makes unreachable short of
-    /// memory corruption).
+    /// Socket errors on the listener, a failed cache append, or a
+    /// corrupt stored result line (which the arrival-time verification
+    /// makes unreachable short of memory corruption).
     pub fn run(
         mut self,
-        cache: Option<&mut CacheStore>,
+        mut cache: Option<&mut CacheStore>,
         progress: Option<Progress>,
     ) -> Result<SweepReport, String> {
+        // An empty store (every fresh campaign) has nothing to answer,
+        // so the probe, and the keys it builds, are skipped.
+        let warm = match cache.as_deref_mut() {
+            Some(store) if !store.is_empty() => self.answer_from(store)?,
+            _ => 0,
+        };
         if let Some(p) = &progress {
             p.begin(self.cells.len(), 1);
+            for _ in 0..warm {
+                p.cell_done(true);
+            }
         }
         // Publish the progress reporter to the handler threads. No
         // handler exists yet, so the Arc has exactly one owner here.
@@ -229,8 +229,8 @@ impl Server {
         let listener =
             self.listener.try_clone().map_err(|e| format!("cannot share the listener: {e}"))?;
         eprintln!(
-            "coord: '{}' listening on {} — {} cells, lease size {}",
-            self.spec_name, self.local_addr, self.shared.total, self.shared.lease_cells
+            "coord: '{}' listening on {} — {} cells ({warm} from the cache), lease size {}",
+            self.spec.name, self.local_addr, self.shared.total, self.shared.lease_cells
         );
         let shared = Arc::clone(&self.shared);
         // lint: allow(no-thread-spawn): the blocking accept loop is protocol I/O — cells run in worker processes via the sweep runner
@@ -250,6 +250,23 @@ impl Server {
         };
         self.drain(handlers);
         self.assemble(cache)
+    }
+
+    /// Completes every cell `store` already holds, before any lease is
+    /// granted, and returns how many. Each key lives only while its
+    /// cell is probed.
+    fn answer_from(&self, store: &mut CacheStore) -> Result<usize, String> {
+        let rows = self
+            .cells
+            .iter()
+            .filter_map(|cell| {
+                let key = cell_key(&self.spec, cell);
+                store.lookup(&key).map(|result| (cell.index, encode_line(&key, &result)))
+            })
+            .collect();
+        // Lease ids start at 1, so 0 records the rows without touching
+        // a lease.
+        self.shared.update(|s| s.campaign.complete(0, rows, 0))
     }
 
     /// Blocks until every cell has a verified result, expiring each
@@ -315,7 +332,8 @@ impl Server {
     }
 
     /// Decodes the stored result lines back into rows in canonical
-    /// order — the byte-identical single-process report.
+    /// order — the byte-identical single-process report — and appends
+    /// to `cache` the results it does not hold yet.
     fn assemble(&self, mut cache: Option<&mut CacheStore>) -> Result<SweepReport, String> {
         let state = self.shared.lock();
         let done = state.campaign.done_rows();
@@ -324,12 +342,12 @@ impl Server {
             let line = done.get(&i).ok_or_else(|| format!("internal: cell {i} has no result"))?;
             let (key, result) =
                 decode_line(line).ok_or_else(|| format!("internal: cell {i} line corrupt"))?;
-            if let Some(store) = cache.as_deref_mut() {
+            if let Some(store) = cache.as_deref_mut().filter(|store| !store.contains(&key)) {
                 store.insert(&key, &result).map_err(|e| e.to_string())?;
             }
             rows.push(SweepRow { key: key.hex(), cell: cell.clone(), result, timing: None });
         }
-        Ok(SweepReport { name: self.spec_name.clone(), shard: ShardSpec::FULL, rows })
+        Ok(SweepReport { name: self.spec.name.clone(), rows })
     }
 }
 

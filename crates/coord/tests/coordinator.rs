@@ -7,7 +7,7 @@
 //! product code keeps cell execution in worker processes.)
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -16,7 +16,9 @@ use therm3d_coord::wire::{read_msg, write_msg, Msg, PROTOCOL_VERSION};
 use therm3d_coord::{work, ServeOptions, Server, WorkOptions};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
-use therm3d_sweep::{cell_key, encode_line, CacheStore, SweepSpec, ENGINE_VERSION};
+use therm3d_sweep::{
+    cell_key, encode_line, run_cells_with_telemetry, to_toml, CacheStore, SweepSpec, ENGINE_VERSION,
+};
 use therm3d_telemetry::Progress;
 use therm3d_workload::Benchmark;
 
@@ -259,15 +261,69 @@ fn a_checksummed_nan_row_is_rejected_and_never_stored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn serve_rejects_sharded_specs_and_version_skew() {
-    let sharded = spec("coord-sharded").with_shard(therm3d_sweep::ShardSpec { index: 0, count: 2 });
-    let err = match Server::bind(&sharded, "127.0.0.1:0", &ServeOptions::default()) {
-        Err(e) => e,
-        Ok(_) => panic!("sharded spec must not bind"),
-    };
-    assert!(err.contains("sharded"), "{err}");
+/// Lines in the store file under `dir`.
+fn stored_lines(dir: &std::path::Path) -> usize {
+    std::fs::read_to_string(dir.join(therm3d_sweep::cache::STORE_FILE))
+        .expect("store")
+        .lines()
+        .count()
+}
 
+#[test]
+fn serve_answers_cached_cells_and_leases_only_the_rest() {
+    let spec = spec("coord-warm");
+    let single = therm3d_sweep::run(&spec).expect("single-process run").csv();
+    let dir = std::env::temp_dir().join(format!("therm3d-coord-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Half the cells are already in the coordinator's cache.
+    let mut store = CacheStore::open(&dir).expect("open cache");
+    run_cells_with_telemetry(&spec, &[1, 3], Some(&mut store), None).expect("pre-fill");
+    assert_eq!(stored_lines(&dir), CELLS / 2);
+
+    let server = Server::bind(&spec, "127.0.0.1:0", &ServeOptions::default()).expect("bind");
+    assert_eq!(server.lease_cells(), 1);
+    let addr = server.local_addr().to_string();
+    let worker = thread::spawn(move || work(&addr, &WorkOptions::default()));
+    let report = server.run(Some(&mut store), None).expect("half-warm campaign");
+    let summary = worker.join().expect("worker thread").expect("worker");
+    assert_eq!(report.csv(), single, "cached and leased cells assemble byte-identically");
+    assert_eq!(summary.cells, CELLS / 2, "only the missing cells were leased: {summary:?}");
+    drop(store);
+    assert_eq!(stored_lines(&dir), CELLS, "one stored line per cell");
+
+    // Over the now-full cache the campaign completes with no worker at
+    // all and appends nothing.
+    let mut store = CacheStore::open(&dir).expect("reopen cache");
+    let server = Server::bind(&spec, "127.0.0.1:0", &ServeOptions::default()).expect("bind");
+    let report = server.run(Some(&mut store), None).expect("warm campaign");
+    assert_eq!(report.csv(), single);
+    drop(store);
+    assert_eq!(stored_lines(&dir), CELLS, "a warm serve appends nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_rejects_a_spec_with_a_shard_key() {
+    // A coordinator from before static shards were removed still sends
+    // `shard = "0/1"` in its Welcome; the worker fails with a typed
+    // error instead of guessing.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("address").to_string();
+    let coordinator = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        assert!(matches!(read_msg(&mut stream).expect("hello"), Msg::Hello { .. }));
+        let spec_toml = format!("{}shard = \"0/1\"\n", to_toml(&spec("coord-old")));
+        let welcome = Msg::Welcome { spec_toml, total_cells: CELLS as u64, lease_cells: 1 };
+        write_msg(&mut stream, &welcome).expect("welcome");
+    });
+    let err = work(&addr, &WorkOptions::default()).expect_err("an unknown key must fail");
+    coordinator.join().expect("coordinator thread");
+    assert!(err.contains("coordinator sent a bad spec") && err.contains("`shard`"), "{err}");
+}
+
+#[test]
+fn serve_rejects_version_skew() {
     // A worker speaking a different engine version must be rejected at
     // handshake — mixing cache salts would poison the merged results.
     let server =

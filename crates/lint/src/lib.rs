@@ -2,7 +2,7 @@
 //! DATE 2009 reproduction.
 //!
 //! The repo's reproduction guarantees — bit-identical sweep output at
-//! any thread/shard count, an allocation-free engine tick loop, and a
+//! any thread or worker count, an allocation-free engine tick loop, and a
 //! cache salt that must be bumped whenever the cell descriptor changes
 //! — were previously enforced only by runtime CI greps and reviewer
 //! vigilance. This crate machine-checks them: a small lexer strips

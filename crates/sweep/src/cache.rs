@@ -245,6 +245,13 @@ impl CacheStore {
         }
     }
 
+    /// Whether `key` is stored (descriptor included), without counting
+    /// a hit or miss.
+    #[must_use]
+    pub fn contains(&self, key: &CellKey) -> bool {
+        self.entries.get(&key.hash).is_some_and(|(descriptor, _)| *descriptor == key.descriptor)
+    }
+
     /// Appends `result` under `key` (durable immediately: the line goes
     /// out in one `write_all` before the call returns). The append
     /// handle is opened once and reused across inserts.
@@ -287,61 +294,15 @@ impl CacheStore {
     /// binaries' stderr note) so the formats cannot drift.
     #[must_use]
     pub fn summary(&self) -> String {
-        self.summary_for(crate::shard::ShardSpec::FULL)
-    }
-
-    /// [`summary`](Self::summary) tagged with the shard that produced
-    /// the counters: `cache[1/3]: ...` for shard 1 of 3, plain
-    /// `cache: ...` for the full matrix. Shard campaigns interleave the
-    /// stderr of N processes into one log; the tag keeps every counters
-    /// line attributable.
-    #[must_use]
-    pub fn summary_for(&self, shard: crate::shard::ShardSpec) -> String {
         let s = self.stats;
-        let tag = if shard.is_full() { String::new() } else { format!("[{shard}]") };
         format!(
-            "cache{tag}: {} hits, {} misses, {} inserted, {} corrupt ({})",
+            "cache: {} hits, {} misses, {} inserted, {} corrupt ({})",
             s.hits,
             s.misses,
             s.inserted,
             s.corrupt,
             self.path.display()
         )
-    }
-
-    /// Unions `src`'s entries into this store (the shard-cache merge:
-    /// each shard of a distributed campaign appends to its own store,
-    /// and this recombines them). Entries whose (key, descriptor) are
-    /// already present are skipped; the rest are appended through
-    /// [`insert`](Self::insert), so the merged store is immediately
-    /// durable and append-friendly like any other. Source stores are
-    /// never modified. Entries are absorbed in key order, so merging
-    /// the same shards always writes the same store, whatever the
-    /// directory order of the caller.
-    ///
-    /// Duplicate keys *inside* one store (re-inserted cells) were
-    /// already collapsed newest-wins by [`open`](Self::open); run
-    /// [`compact`](Self::compact) afterwards to also drop the shadowed
-    /// lines from disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Cache`] when this store cannot be
-    /// appended to.
-    pub fn merge_from(&mut self, src: &CacheStore) -> Result<MergeStats, SweepError> {
-        let mut stats = MergeStats::default();
-        // BTreeMap iterates in ascending key order, so the appended
-        // lines are deterministic regardless of the source's history.
-        for (&hash, (descriptor, result)) in &src.entries {
-            if self.entries.get(&hash).is_some_and(|(d, _)| d == descriptor) {
-                stats.skipped += 1;
-                continue;
-            }
-            let key = CellKey { hash, descriptor: descriptor.clone() };
-            self.insert(&key, result)?;
-            stats.appended += 1;
-        }
-        Ok(stats)
     }
 
     /// Number of distinct entries currently loaded.
@@ -378,8 +339,7 @@ impl CacheStore {
     /// store.** The rename replaces the file under the writer's open
     /// append handle, so its subsequent inserts land in the orphaned
     /// old inode and are lost when it exits. Compact between
-    /// campaigns (e.g. after merging distributed-sweep shards), never
-    /// concurrently with one.
+    /// campaigns, never concurrently with one.
     ///
     /// # Errors
     ///
@@ -442,29 +402,6 @@ impl CacheStore {
             .filter(|(_, (descriptor, _))| descriptor.starts_with(&current_salt))
             .collect();
         Ok(stats)
-    }
-}
-
-/// What [`CacheStore::merge_from`] absorbed from one source store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MergeStats {
-    /// Entries appended to the destination store.
-    pub appended: u64,
-    /// Entries skipped because an identical (key, descriptor) pair was
-    /// already present.
-    pub skipped: u64,
-}
-
-impl std::ops::AddAssign for MergeStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.appended += rhs.appended;
-        self.skipped += rhs.skipped;
-    }
-}
-
-impl std::fmt::Display for MergeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "appended {}, skipped {} already present", self.appended, self.skipped)
     }
 }
 
@@ -749,52 +686,6 @@ mod tests {
         assert!(line.starts_with("cache: 1 hits, 1 misses, 1 inserted, 0 corrupt"), "{line}");
         assert!(line.contains(STORE_FILE), "{line}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn summary_is_tagged_with_a_non_full_shard() {
-        use crate::shard::ShardSpec;
-        let dir = tmp_dir("shard_summary");
-        let store = CacheStore::open(&dir).unwrap();
-        assert!(store.summary_for(ShardSpec::FULL).starts_with("cache: "), "full stays plain");
-        let tagged = store.summary_for(ShardSpec { index: 1, count: 3 });
-        assert!(tagged.starts_with("cache[1/3]: "), "{tagged}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn merge_from_unions_shard_stores() {
-        let spec = spec();
-        let cells = expand(&spec);
-        let dirs: Vec<PathBuf> = (0..3).map(|k| tmp_dir(&format!("merge_src{k}"))).collect();
-        // Three "shard" stores with disjoint entries, one key shared by
-        // two stores (a cell simulated twice, e.g. a retried shard).
-        for (k, dir) in dirs.iter().enumerate() {
-            let mut store = CacheStore::open(dir).unwrap();
-            store.insert(&cell_key(&spec, &cells[k]), &result("Default")).unwrap();
-            if k == 2 {
-                store.insert(&cell_key(&spec, &cells[0]), &result("Default")).unwrap();
-            }
-        }
-        let out_dir = tmp_dir("merge_out");
-        let mut out = CacheStore::open(&out_dir).unwrap();
-        let mut total = MergeStats::default();
-        for dir in &dirs {
-            total += out.merge_from(&CacheStore::open(dir).unwrap()).unwrap();
-        }
-        assert_eq!(total, MergeStats { appended: 3, skipped: 1 }, "{total}");
-        assert_eq!(out.len(), 3);
-        // The merged store is durable and serves every shard's cells
-        // after a reopen; merging again is a no-op.
-        let mut reopened = CacheStore::open(&out_dir).unwrap();
-        for cell in &cells[..3] {
-            assert!(reopened.lookup(&cell_key(&spec, cell)).is_some(), "{}", cell.describe());
-        }
-        let again = reopened.merge_from(&CacheStore::open(&dirs[0]).unwrap()).unwrap();
-        assert_eq!(again, MergeStats { appended: 0, skipped: 1 });
-        for dir in dirs.iter().chain([&out_dir]) {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!    matrix of [`SweepCell`]s, each a pure function of the spec (seeds
 //!    derived per cell, never from scheduling order);
 //! 3. [`run`] — parallel execution across worker threads, one
-//!    `Simulator` per cell, traces generated once per (core-count,
-//!    seed) and shared read-only;
+//!    `Simulator` per cell, each streaming its own job mix from the
+//!    generator (no trace is materialized or shared);
 //! 4. [`SweepReport`] — typed aggregation with CSV/JSON export and
 //!    paper-style text tables; results are bit-identical for any thread
 //!    count;
@@ -26,12 +26,11 @@
 //!    looks results up in a [`CacheStore`] before simulating, so
 //!    re-running a grown spec only simulates the new cells. Reports are
 //!    byte-identical for any hit/miss mix; see the [`cache`] module
-//!    docs for the store layout and invalidation rules;
-//! 6. [`shard`] — deterministic splitting of one matrix across
-//!    processes/machines ([`ShardSpec`], round-robin over the canonical
-//!    order) and the mergers that recombine shard outputs: [`merge_csv`]
-//!    reassembles the canonical CSV byte-identically, and
-//!    [`CacheStore::merge_from`] unions shard cache stores.
+//!    docs for the store layout and invalidation rules.
+//!
+//! Splitting one matrix across machines is `therm3d_coord`'s job: its
+//! coordinator leases canonical cell ranges to workers, which run them
+//! through [`run_cells_with_telemetry`].
 //!
 //! Failures are typed ([`SweepError`]): an invalid spec, a cell whose
 //! simulation panicked (named, instead of poisoning the whole
@@ -64,23 +63,21 @@ pub mod error;
 pub mod matrix;
 pub mod report;
 pub mod runner;
-pub mod shard;
 pub mod spec;
 pub mod telemetry;
 pub mod toml;
 
 pub use cache::{
-    cell_key, decode_line, encode_line, CacheStats, CacheStore, CellKey, CompactStats, MergeStats,
+    cell_key, decode_line, encode_line, CacheStats, CacheStore, CellKey, CompactStats,
     DESCRIPTOR_FINGERPRINT, ENGINE_VERSION,
 };
 pub use error::SweepError;
-pub use matrix::{derive_policy_seed, derive_sensor_seed, expand, expand_shard, SweepCell};
+pub use matrix::{derive_policy_seed, derive_sensor_seed, expand, SweepCell};
 pub use report::{csv_header, csv_row, sweep_csv_header, SweepReport, SweepRow, CSV_HEADER};
 pub use runner::{
     effective_threads, model_fingerprint, run, run_cell, run_cells_with_telemetry, run_with_cache,
     run_with_telemetry, sim_config,
 };
-pub use shard::{merge_csv, ShardSpec};
 pub use spec::{parse_sim_seconds, sim_seconds_from_env, SweepSpec};
 pub use telemetry::RunTelemetry;
 pub use toml::{from_toml, to_toml};

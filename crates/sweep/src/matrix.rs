@@ -111,39 +111,6 @@ pub fn derive_sensor_seed(trace_seed: u64) -> u64 {
 /// ```
 #[must_use]
 pub fn expand(spec: &SweepSpec) -> Vec<SweepCell> {
-    expand_full(spec)
-}
-
-/// [`expand`] filtered down to the cells of the spec's shard
-/// ([`SweepSpec::shard`]): round-robin over the canonical order, so the
-/// shards of one spec are disjoint and their union (sorted by
-/// `cell.index`, which merging restores) is exactly [`expand`]'s
-/// output. Cells keep their canonical `index` and derived seeds —
-/// sharding selects cells, it never re-derives them.
-///
-/// # Examples
-///
-/// ```
-/// use therm3d_sweep::{expand, expand_shard, ShardSpec, SweepSpec};
-///
-/// let spec = SweepSpec::new("demo").with_dpm(&[false, true]);
-/// let full = expand(&spec);
-/// let mut union: Vec<_> = (0..3)
-///     .flat_map(|k| expand_shard(&spec.clone().with_shard(ShardSpec { index: k, count: 3 })))
-///     .collect();
-/// union.sort_by_key(|c| c.index);
-/// assert_eq!(union, full);
-/// ```
-#[must_use]
-pub fn expand_shard(spec: &SweepSpec) -> Vec<SweepCell> {
-    let mut cells = expand_full(spec);
-    if !spec.shard.is_full() {
-        cells.retain(|cell| spec.shard.owns(cell.index));
-    }
-    cells
-}
-
-fn expand_full(spec: &SweepSpec) -> Vec<SweepCell> {
     let mut cells = Vec::with_capacity(spec.cell_count());
     for (seed_index, &trace_seed) in spec.seeds.iter().enumerate() {
         let policy_seed = derive_policy_seed(spec.policy_seed, seed_index);
@@ -217,34 +184,6 @@ mod tests {
         assert!(cells[4..].iter().all(|c| c.integrator == Integrator::ExplicitRk4));
         // The descriptor names the integrator, so failures are traceable.
         assert!(cells[4].describe().contains("explicit-rk4"), "{}", cells[4].describe());
-    }
-
-    #[test]
-    fn shards_are_disjoint_balanced_and_union_to_the_matrix() {
-        use crate::shard::ShardSpec;
-        let spec = SweepSpec::new("x")
-            .with_experiments(&[Experiment::Exp1, Experiment::Exp2])
-            .with_policies(&[PolicyKind::Default, PolicyKind::CGate, PolicyKind::Adapt3d])
-            .with_dpm(&[false, true]);
-        let full = expand(&spec);
-        for count in 1..=5 {
-            let mut union = Vec::new();
-            for k in 0..count {
-                let shard = ShardSpec { index: k, count };
-                let cells = expand_shard(&spec.clone().with_shard(shard));
-                assert_eq!(cells.len(), shard.cell_count(full.len()), "{shard}");
-                for c in &cells {
-                    assert_eq!(c.index % count, k, "round-robin assignment");
-                }
-                union.extend(cells);
-            }
-            union.sort_by_key(|c| c.index);
-            // Union equals the canonical expansion — indices, axis
-            // values and derived seeds all included (SweepCell: Eq).
-            assert_eq!(union, full, "count={count}");
-        }
-        // The full shard is the identity.
-        assert_eq!(expand_shard(&spec), full);
     }
 
     #[test]

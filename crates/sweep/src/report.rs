@@ -11,7 +11,6 @@ use therm3d::RunResult;
 use therm3d_floorplan::Experiment;
 
 use crate::matrix::SweepCell;
-use crate::shard::ShardSpec;
 
 /// The per-result CSV columns shared by every exporter in the workspace.
 pub const CSV_HEADER: &str = "policy,experiment,dpm,hot_pct,grad_pct,cycle_pct,peak_c,vertical_peak_c,mean_turnaround_s,energy_j,migrations,unfinished";
@@ -22,10 +21,8 @@ pub fn csv_header() -> &'static str {
     CSV_HEADER
 }
 
-/// The full per-cell header of [`SweepReport::csv`] (cell provenance
-/// columns + [`CSV_HEADER`]) — the canonical schema sharded exports
-/// prefix with a `shard` column and [`merge_csv`](crate::merge_csv)
-/// restores.
+/// The full per-cell header of [`SweepReport::csv`]: the cell
+/// provenance columns, then [`CSV_HEADER`].
 #[must_use]
 pub fn sweep_csv_header() -> String {
     format!("cell,trace_seed,integrator,stack_order,tsv,sensor,cell_key,{CSV_HEADER}")
@@ -72,7 +69,7 @@ pub struct SweepRow {
 }
 
 /// Equality covers the deterministic payload (key, cell, result) and
-/// ignores `timing`: sharded-union and warm-vs-cold tests compare rows
+/// ignores `timing`: selection-union and warm-vs-cold tests compare rows
 /// across runs whose wall-clock costs legitimately differ.
 impl PartialEq for SweepRow {
     fn eq(&self, other: &Self) -> bool {
@@ -85,15 +82,9 @@ impl PartialEq for SweepRow {
 pub struct SweepReport {
     /// The sweep's name (from the spec).
     pub name: String,
-    /// Which shard of the canonical matrix this report covers (from the
-    /// spec; [`ShardSpec::FULL`] for an unsharded run). Sharded exports
-    /// carry it as provenance so interleaved shard outputs stay
-    /// attributable and [`merge_csv`](crate::merge_csv) can verify
-    /// disjointness and completeness.
-    pub shard: ShardSpec,
-    /// One row per cell of the shard, ordered by `cell.index` (canonical
-    /// matrix indices — a non-full shard's rows are strided, not
-    /// renumbered).
+    /// One row per cell, ordered by `cell.index` (canonical matrix
+    /// indices — a partial selection's rows keep their indices, they
+    /// are not renumbered).
     pub rows: Vec<SweepRow>,
 }
 
@@ -125,26 +116,14 @@ impl SweepReport {
     /// order. Identical for every thread count and for any cache
     /// hit/miss mix (`cell_key` is derived from the spec, not from how
     /// the row was obtained).
-    ///
-    /// A sharded report (shard count > 1) prefixes every line with a
-    /// `shard` provenance column holding `K/N`; the bytes after that
-    /// column are exactly what the unsharded run emits for the same
-    /// cell, which is what lets [`merge_csv`](crate::merge_csv)
-    /// reassemble the canonical CSV byte-identically.
     #[must_use]
     pub fn csv(&self) -> String {
         let mut out = String::new();
-        let shard_prefix =
-            if self.shard.is_full() { String::new() } else { format!("{},", self.shard) };
-        if shard_prefix.is_empty() {
-            let _ = writeln!(out, "{}", sweep_csv_header());
-        } else {
-            let _ = writeln!(out, "shard,{}", sweep_csv_header());
-        }
+        let _ = writeln!(out, "{}", sweep_csv_header());
         for row in &self.rows {
             let _ = writeln!(
                 out,
-                "{shard_prefix}{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{}",
                 row.cell.index,
                 row.cell.trace_seed,
                 row.cell.integrator,
@@ -160,17 +139,12 @@ impl SweepReport {
 
     /// JSON export: `{"name": .., "rows": [{..}, ..]}` with one object
     /// per cell. Hand-rolled (the offline dependency set has no serde);
-    /// policy labels and names are escaped as JSON strings. A sharded
-    /// report (shard count > 1) adds a top-level `"shard": "K/N"` field;
-    /// unsharded output is unchanged.
+    /// policy labels and names are escaped as JSON strings.
     #[must_use]
     pub fn json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
-        if !self.shard.is_full() {
-            let _ = writeln!(out, "  \"shard\": {},", json_string(&self.shard.to_string()));
-        }
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let r = &row.result;
@@ -220,9 +194,7 @@ impl SweepReport {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let shard =
-            if self.shard.is_full() { String::new() } else { format!(" [shard {}]", self.shard) };
-        let _ = writeln!(out, "sweep '{}'{shard}: {} cells", self.name, self.rows.len());
+        let _ = writeln!(out, "sweep '{}': {} cells", self.name, self.rows.len());
         let first = match self.rows.first() {
             Some(row) => &row.cell,
             None => return out,
@@ -375,7 +347,7 @@ mod tests {
                 timing: None,
             })
             .collect();
-        SweepReport { name: spec.name, shard: ShardSpec::FULL, rows }
+        SweepReport { name: spec.name, rows }
     }
 
     #[test]
@@ -420,37 +392,9 @@ mod tests {
                 timing: None,
             })
             .collect();
-        let text = SweepReport { name: spec.name, shard: ShardSpec::FULL, rows }.render();
+        let text = SweepReport { name: spec.name, rows }.render();
         assert!(text.contains("[cores-near sensor=noisy-1c]"), "{text}");
         assert!(!text.contains("tsv="), "single-valued axes stay silent: {text}");
-    }
-
-    #[test]
-    fn sharded_exports_carry_provenance_and_strip_back_to_canonical() {
-        let full = fake_report();
-        let shard = ShardSpec { index: 1, count: 3 };
-        let sharded = SweepReport {
-            name: full.name.clone(),
-            shard,
-            rows: full.rows.iter().filter(|r| shard.owns(r.cell.index)).cloned().collect(),
-        };
-        let csv = sharded.csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(format!("shard,{}", sweep_csv_header()).as_str()));
-        // Every data row leads with the shard id, and the bytes after it
-        // are exactly the unsharded run's row for the same cell.
-        let full_csv = full.csv();
-        for line in lines {
-            let (tag, rest) = line.split_once(',').unwrap();
-            assert_eq!(tag, "1/3");
-            assert!(full_csv.lines().any(|l| l == rest), "{rest}");
-        }
-        // JSON and table outputs name the shard too; unsharded ones
-        // stay silent (their bytes must not change).
-        assert!(sharded.json().contains("\"shard\": \"1/3\""));
-        assert!(sharded.render().starts_with("sweep 'fake' [shard 1/3]:"));
-        assert!(!full.json().contains("\"shard\""));
-        assert!(full.render().starts_with("sweep 'fake':"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use therm3d_workload::stream_mix;
 
 use crate::cache::{cell_key, CacheStore, ENGINE_VERSION};
 use crate::error::SweepError;
-use crate::matrix::{expand_shard, SweepCell};
+use crate::matrix::{expand, SweepCell};
 use crate::report::{SweepReport, SweepRow};
 use crate::spec::SweepSpec;
 use crate::telemetry::RunTelemetry;
@@ -166,26 +166,22 @@ fn run_cell_observed(
     cell: &SweepCell,
     share: Option<&FactorShare>,
     key_hex: &str,
-    shard: &str,
     telemetry: Option<&RunTelemetry>,
 ) -> Result<(RunResult, CellCost), String> {
     let Some(tel) = telemetry else { return try_run_cell(spec, cell, share) };
     if let Some(events) = &tel.events {
-        events.emit(&Event::CellStart { shard, cell: cell.index, key: key_hex });
+        events.emit(&Event::CellStart { cell: cell.index, key: key_hex });
     }
     let outcome = try_run_cell(spec, cell, share);
     if let Some(events) = &tel.events {
         match &outcome {
             Ok((_, cost)) => events.emit(&Event::CellFinish {
-                shard,
                 cell: cell.index,
                 key: key_hex,
                 wall_us: cost.wall_us,
                 cached: false,
             }),
-            Err(cause) => {
-                events.emit(&Event::CellPanic { shard, cell: cell.index, key: key_hex, cause });
-            }
+            Err(cause) => events.emit(&Event::CellPanic { cell: cell.index, key: key_hex, cause }),
         }
     }
     if let Some(progress) = &tel.progress {
@@ -268,9 +264,9 @@ pub fn run_with_telemetry(
 /// `therm3d work` process runs exactly the cells of its lease through
 /// the full runner (cache lookup, factor sharing, worker threads,
 /// telemetry) and nothing else. Indices refer to the canonical
-/// expansion, the same numbering as [`SweepCell::index`], shard filters
-/// and report rows; seeds and keys are selection-independent, so any
-/// partition of a matrix across workers reassembles byte-identically.
+/// expansion, the same numbering as [`SweepCell::index`] and report
+/// rows; seeds and keys are selection-independent, so any partition of
+/// a matrix across workers reassembles byte-identically.
 ///
 /// # Errors
 ///
@@ -300,19 +296,15 @@ fn run_selected(
     telemetry: Option<&RunTelemetry>,
 ) -> Result<SweepReport, SweepError> {
     spec.validate().map_err(SweepError::InvalidSpec)?;
-    let shard_label = spec.shard.to_string();
-    // Only this shard's cells are expanded into the work list; the full
-    // matrix is the default (shard 0/1). Cells keep their canonical
-    // indices and derived seeds, so everything below — keys, seeds,
-    // write-back, report rows — is identical whether a cell runs in a
-    // sharded process or an unsharded one. An explicit selection (a
-    // coordinator lease) narrows the work list the same way a shard
-    // does: by canonical index, changing nothing about any cell.
+    // An explicit selection (a coordinator lease) narrows the work list
+    // by canonical index. Cells keep their indices and derived seeds, so
+    // everything below — keys, seeds, write-back, report rows — is the
+    // same whichever cells run together.
     // lint: allow(no-wall-clock): expansion-phase telemetry only — never feeds results
     let t_expand = Instant::now();
     let mut cells = {
         let _span = Span::enter("sweep.expand_us");
-        expand_shard(spec)
+        expand(spec)
     };
     if let Some(sel) = selection {
         cells.retain(|cell| sel.contains(&cell.index));
@@ -340,7 +332,6 @@ fn run_selected(
     if let Some(tel) = telemetry {
         let reg = &tel.registry;
         reg.set_meta("sweep", &spec.name);
-        reg.set_meta("shard", &shard_label);
         reg.set_meta("engine", ENGINE_VERSION);
         reg.set_meta("threads", &threads.to_string());
         reg.gauge("sweep.expand_us").set(expand_us as f64);
@@ -363,15 +354,9 @@ fn run_selected(
             if let Some(events) = &tel.events {
                 let key = keys[i].hex();
                 let us = lookup_us[i];
-                let (shard, cell) = (shard_label.as_str(), cells[i].index);
-                events.emit(&Event::CacheHit { shard, cell, key: &key, lookup_us: us });
-                events.emit(&Event::CellFinish {
-                    shard,
-                    cell,
-                    key: &key,
-                    wall_us: us,
-                    cached: true,
-                });
+                let cell = cells[i].index;
+                events.emit(&Event::CacheHit { cell, key: &key, lookup_us: us });
+                events.emit(&Event::CellFinish { cell, key: &key, wall_us: us, cached: true });
             }
             if let Some(progress) = &tel.progress {
                 progress.cell_done(true);
@@ -390,14 +375,8 @@ fn run_selected(
     let mut costs: Vec<Option<CellCost>> = vec![None; cells.len()];
     if threads == 1 {
         for &i in &pending {
-            let outcome = run_cell_observed(
-                spec,
-                &cells[i],
-                share_of(i),
-                &keys[i].hex(),
-                &shard_label,
-                telemetry,
-            );
+            let outcome =
+                run_cell_observed(spec, &cells[i], share_of(i), &keys[i].hex(), telemetry);
             results[i] = Some(match outcome {
                 Ok((result, cost)) => {
                     costs[i] = Some(cost);
@@ -410,8 +389,7 @@ fn run_selected(
         let next = AtomicUsize::new(0);
         type CellOutcome = (usize, Result<RunResult, String>, Option<CellCost>);
         let (tx, rx) = mpsc::channel::<CellOutcome>();
-        let (next, pending_ref, cells_ref) = (&next, &pending, &cells);
-        let (keys_ref, shard_ref) = (&keys, shard_label.as_str());
+        let (next, pending_ref, cells_ref, keys_ref) = (&next, &pending, &cells, &keys);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
@@ -423,7 +401,6 @@ fn run_selected(
                         &cells_ref[i],
                         share_of(i),
                         &keys_ref[i].hex(),
-                        shard_ref,
                         telemetry,
                     );
                     let (result, cost) = match outcome {
@@ -483,7 +460,7 @@ fn run_selected(
     // discard hours of good work from the cache.
     let mut rows = Vec::with_capacity(cells.len());
     let mut first_failure: Option<SweepError> = None;
-    // Positions in the (possibly shard-strided) work list, NOT canonical
+    // Positions in the (possibly selected) work list, NOT canonical
     // cell indices — the two coincide only for the full matrix.
     let pending_set: std::collections::BTreeSet<usize> = pending.into_iter().collect();
     for (position, ((cell, key), slot)) in cells.into_iter().zip(keys).zip(results).enumerate() {
@@ -524,7 +501,7 @@ fn run_selected(
     }
     match first_failure {
         Some(failure) => Err(failure),
-        None => Ok(SweepReport { name: spec.name.clone(), shard: spec.shard, rows }),
+        None => Ok(SweepReport { name: spec.name.clone(), rows }),
     }
 }
 
@@ -600,26 +577,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_union_to_the_full_report() {
-        use crate::shard::ShardSpec;
-        let full = run(&tiny_spec(2).with_dpm(&[false, true])).unwrap();
+    fn selected_runs_union_to_the_full_report() {
+        let spec = tiny_spec(2).with_dpm(&[false, true]);
+        let full = run(&spec).unwrap();
         assert_eq!(full.rows.len(), 4);
+        // Three disjoint selections, in scrambled order, as a coordinator
+        // might lease them to three workers.
         let mut union: Vec<SweepRow> = Vec::new();
-        for k in 0..3 {
-            let spec =
-                tiny_spec(1).with_dpm(&[false, true]).with_shard(ShardSpec { index: k, count: 3 });
-            let part = run(&spec).unwrap();
-            assert_eq!(part.shard, spec.shard);
-            assert!(part.rows.iter().all(|r| r.cell.index % 3 == k));
+        for selection in [&[3, 0][..], &[2], &[1]] {
+            let part =
+                run_cells_with_telemetry(&spec.clone().with_threads(1), selection, None, None)
+                    .unwrap();
+            let indices: Vec<usize> = part.rows.iter().map(|r| r.cell.index).collect();
+            let mut expected = selection.to_vec();
+            expected.sort_unstable();
+            assert_eq!(indices, expected, "exactly the selected cells, in canonical order");
             union.extend(part.rows);
         }
         union.sort_by_key(|r| r.cell.index);
-        // Same cells, same keys, same numbers — sharding only moves
+        // Same cells, same keys, same numbers — the selection only moves
         // work between processes.
         assert_eq!(union, full.rows);
-        // An out-of-range shard is an invalid spec, not an empty report.
-        let err = run(&tiny_spec(1).with_shard(ShardSpec { index: 3, count: 3 })).unwrap_err();
+        // An index past the matrix is an invalid spec, not an empty report.
+        let err = run_cells_with_telemetry(&spec, &[1, 4], None, None).unwrap_err();
         assert!(matches!(err, SweepError::InvalidSpec(_)), "{err}");
+        assert!(err.to_string().contains("cell index 4"), "{err}");
     }
 
     #[test]

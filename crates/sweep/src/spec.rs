@@ -7,8 +7,6 @@ use therm3d_policies::PolicyKind;
 use therm3d_thermal::{Integrator, TsvVariant};
 use therm3d_workload::Benchmark;
 
-use crate::shard::ShardSpec;
-
 /// Default simulated seconds per cell (the figure binaries' default).
 pub const DEFAULT_SIM_SECONDS: f64 = 240.0;
 
@@ -78,13 +76,6 @@ pub struct SweepSpec {
     pub policy_seed: u16,
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Which shard of the canonical matrix this process runs (default:
-    /// the full matrix). Like `name` and `threads`, the shard is an
-    /// execution detail, not a physical knob: it never enters a cell's
-    /// descriptor or [`cell_key`](crate::cache::cell_key), so shard
-    /// caches union cleanly and merged reports are byte-identical to an
-    /// unsharded run.
-    pub shard: ShardSpec,
 }
 
 impl SweepSpec {
@@ -113,7 +104,6 @@ impl SweepSpec {
             grid: (8, 8),
             policy_seed: DEFAULT_POLICY_SEED,
             threads: 0,
-            shard: ShardSpec::FULL,
         }
     }
 
@@ -208,13 +198,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the shard of the canonical matrix this process runs.
-    #[must_use]
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
-        self
-    }
-
     /// Number of cells the spec expands to.
     #[must_use]
     pub fn cell_count(&self) -> usize {
@@ -270,9 +253,6 @@ impl SweepSpec {
         if self.grid.0 == 0 || self.grid.1 == 0 {
             return Err(format!("`grid` must be at least 1x1: {:?}", self.grid));
         }
-        // A hand-built ShardSpec can bypass ShardSpec::new; re-validate
-        // so an out-of-range shard is an error, not an empty report.
-        ShardSpec::new(self.shard.index, self.shard.count)?;
         Ok(())
     }
 }
@@ -377,19 +357,6 @@ mod tests {
     fn duplicate_axis_value_rejected() {
         let spec = SweepSpec::new("x").with_seeds(&[1, 2, 1]);
         assert!(spec.validate().unwrap_err().contains("seeds"));
-    }
-
-    #[test]
-    fn out_of_range_shard_rejected() {
-        let spec = SweepSpec::new("x");
-        assert_eq!(spec.shard, ShardSpec::FULL, "default is the full matrix");
-        spec.clone().with_shard(ShardSpec { index: 2, count: 3 }).validate().unwrap();
-        // Hand-built specs that bypass ShardSpec::new still fail
-        // validation with the range named.
-        let err = spec.clone().with_shard(ShardSpec { index: 3, count: 3 }).validate().unwrap_err();
-        assert!(err.contains("0/3..=2/3"), "{err}");
-        let err = spec.with_shard(ShardSpec { index: 0, count: 0 }).validate().unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]

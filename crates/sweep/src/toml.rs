@@ -24,7 +24,6 @@
 //! grid = [4, 4]                # or a single integer for square grids
 //! policy_seed = 44257
 //! threads = 0                  # 0 = one per CPU
-//! shard = "0/1"                # run shard K of N ("0/1" = full matrix)
 //! ```
 //!
 //! Omitted keys keep the [`SweepSpec::new`] defaults. Note that when
@@ -41,7 +40,6 @@ use therm3d_policies::PolicyKind;
 use therm3d_thermal::{Integrator, TsvVariant};
 use therm3d_workload::Benchmark;
 
-use crate::shard::ShardSpec;
 use crate::spec::SweepSpec;
 
 /// One parsed scalar. Non-negative integers keep their exact `u64`
@@ -331,10 +329,6 @@ fn apply_key(spec: &mut SweepSpec, key: &str, value: &Value) -> Result<(), Strin
             Value::Scalar(s) => spec.threads = integer(s, key)? as usize,
             Value::Array(_) => return Err("`threads` expects one integer".into()),
         },
-        "shard" => match value {
-            Value::Scalar(s) => spec.shard = typed::<ShardSpec>(s, key)?,
-            Value::Array(_) => return Err("`shard` expects one \"K/N\" string".into()),
-        },
         other => return Err(format!("unknown key `{other}`")),
     }
     Ok(())
@@ -382,7 +376,6 @@ pub fn to_toml(spec: &SweepSpec) -> String {
     let _ = writeln!(out, "grid = [{}, {}]", spec.grid.0, spec.grid.1);
     let _ = writeln!(out, "policy_seed = {}", spec.policy_seed);
     let _ = writeln!(out, "threads = {}", spec.threads);
-    let _ = writeln!(out, "shard = \"{}\"", spec.shard);
     out
 }
 
@@ -477,31 +470,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_key_parses_validates_and_round_trips() {
-        let spec = from_toml("shard = \"1/3\"\nsim_seconds = 1.0\n").unwrap();
-        assert_eq!(spec.shard, ShardSpec { index: 1, count: 3 });
-        assert_eq!(from_toml(&to_toml(&spec)).unwrap(), spec);
-        // Omitted means the full matrix.
-        assert_eq!(from_toml("sim_seconds = 1.0\n").unwrap().shard, ShardSpec::FULL);
-        // Out-of-range shards fail the parse with the range named, same
-        // as the CLI flag — never an empty report.
-        let err = from_toml("shard = \"3/3\"\n").unwrap_err();
-        assert!(err.contains("0/3..=2/3"), "{err}");
-        let err = from_toml("shard = \"0/0\"\n").unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = from_toml("shard = \"whole\"\n").unwrap_err();
-        assert!(err.contains("K/N"), "{err}");
-        let err = from_toml("shard = 3\n").unwrap_err();
-        assert!(err.contains("shard"), "{err}");
-    }
-
-    #[test]
     fn unknown_key_is_an_error() {
         let err = from_toml("polices = [\"Default\"]\n").unwrap_err();
         assert!(err.contains("unknown key"), "{err}");
         // Traces always stream, so `streaming` is not a key either.
         let err = from_toml("streaming = true\nsim_seconds = 1.0\n").unwrap_err();
         assert!(err.contains("unknown key `streaming`"), "{err}");
+        // Campaigns are distributed by `serve`/`work` leases, not by
+        // static shards, so `shard` is gone too.
+        let err = from_toml("shard = \"0/1\"\nsim_seconds = 1.0\n").unwrap_err();
+        assert!(err.contains("unknown key `shard`"), "{err}");
     }
 
     #[test]

@@ -141,7 +141,7 @@ fn events_cover_every_cell_with_start_before_finish() {
         assert_eq!(tag(&docs[of_cell[1]]), "cell_finish");
         assert_eq!(docs[of_cell[0]].get("key").unwrap().as_str(), Some(row.key.as_str()));
         assert_eq!(docs[of_cell[1]].get("cached").unwrap().as_bool(), Some(false));
-        assert_eq!(docs[of_cell[0]].get("shard").unwrap().as_str(), Some("0/1"));
+        assert!(docs[of_cell[0]].get("shard").is_none(), "events carry no shard label");
     }
     assert_eq!(docs.len(), 2 * report.rows.len());
 }

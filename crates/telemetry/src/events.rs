@@ -2,8 +2,7 @@
 //!
 //! One JSON object per line, written atomically under a mutex so lines
 //! never interleave even with many workers. Every event carries the
-//! shard, the canonical cell index, the cell's cache key and a
-//! monotonic timestamp (`t_us`, microseconds since the sink was
+//! canonical cell index, the cell's cache key and a monotonic timestamp (`t_us`, microseconds since the sink was
 //! created); `cell_finish` adds the cell's wall time and whether it was
 //! served from the cache. Within one cell the runner emits
 //! `cell_start` strictly before `cell_finish`/`cell_panic` from the
@@ -23,13 +22,13 @@ use crate::span::elapsed_us;
 #[derive(Clone, Copy, Debug)]
 pub enum Event<'a> {
     /// A worker picked the cell up for simulation.
-    CellStart { shard: &'a str, cell: usize, key: &'a str },
+    CellStart { cell: usize, key: &'a str },
     /// The cell's result was served from the cache store.
-    CacheHit { shard: &'a str, cell: usize, key: &'a str, lookup_us: u64 },
+    CacheHit { cell: usize, key: &'a str, lookup_us: u64 },
     /// The cell produced a result (simulated, or decoded from cache).
-    CellFinish { shard: &'a str, cell: usize, key: &'a str, wall_us: u64, cached: bool },
+    CellFinish { cell: usize, key: &'a str, wall_us: u64, cached: bool },
     /// The cell's simulation panicked.
-    CellPanic { shard: &'a str, cell: usize, key: &'a str, cause: &'a str },
+    CellPanic { cell: usize, key: &'a str, cause: &'a str },
 }
 
 impl Event<'_> {
@@ -45,16 +44,15 @@ impl Event<'_> {
     }
 
     fn to_json(self, t_us: u64) -> Json {
-        let (shard, cell, key) = match self {
-            Event::CellStart { shard, cell, key }
-            | Event::CacheHit { shard, cell, key, .. }
-            | Event::CellFinish { shard, cell, key, .. }
-            | Event::CellPanic { shard, cell, key, .. } => (shard, cell, key),
+        let (cell, key) = match self {
+            Event::CellStart { cell, key }
+            | Event::CacheHit { cell, key, .. }
+            | Event::CellFinish { cell, key, .. }
+            | Event::CellPanic { cell, key, .. } => (cell, key),
         };
         let mut fields = vec![
             ("ev".to_owned(), Json::Str(self.tag().to_owned())),
             ("t_us".to_owned(), Json::u64(t_us)),
-            ("shard".to_owned(), Json::Str(shard.to_owned())),
             ("cell".to_owned(), Json::u64(cell as u64)),
             ("key".to_owned(), Json::Str(key.to_owned())),
         ];
@@ -130,16 +128,10 @@ mod tests {
     fn lines_are_valid_json_in_emit_order() {
         let buf = SharedBuf::default();
         let sink = EventSink::to_writer(Box::new(buf.clone()));
-        sink.emit(&Event::CellStart { shard: "0/1", cell: 3, key: "aa" });
-        sink.emit(&Event::CacheHit { shard: "0/1", cell: 4, key: "bb", lookup_us: 7 });
-        sink.emit(&Event::CellFinish {
-            shard: "0/1",
-            cell: 3,
-            key: "aa",
-            wall_us: 10,
-            cached: false,
-        });
-        sink.emit(&Event::CellPanic { shard: "0/1", cell: 5, key: "cc", cause: "boom \"q\"" });
+        sink.emit(&Event::CellStart { cell: 3, key: "aa" });
+        sink.emit(&Event::CacheHit { cell: 4, key: "bb", lookup_us: 7 });
+        sink.emit(&Event::CellFinish { cell: 3, key: "aa", wall_us: 10, cached: false });
+        sink.emit(&Event::CellPanic { cell: 5, key: "cc", cause: "boom \"q\"" });
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 4);

@@ -5,8 +5,8 @@
 //! threads they observe. Histograms bucket *microsecond* durations by
 //! default ([`DEFAULT_US_EDGES`]), and every histogram carries its own
 //! edge vector so two [`HistogramSnapshot`]s merge exactly when (and
-//! only when) their edges agree — the property the sharded-campaign
-//! merger relies on.
+//! only when) their edges agree — the property
+//! [`MetricsSnapshot::merge`](crate::MetricsSnapshot::merge) relies on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -84,7 +84,7 @@ impl Registry {
         Arc::clone(map.entry(name.to_owned()).or_insert_with(|| Arc::new(Histogram::new_us())))
     }
 
-    /// Sets a metadata entry (sweep name, shard, engine version, …).
+    /// Sets a metadata entry (sweep name, engine version, …).
     pub fn set_meta(&self, key: &str, value: &str) {
         self.meta.lock().expect("lock poisoned").insert(key.to_owned(), value.to_owned());
     }

@@ -3,8 +3,8 @@
 //! A [`MetricsSnapshot`] is plain data ordered by `BTreeMap`, so two
 //! snapshots of the same campaign state render to byte-identical JSON
 //! regardless of thread count or registration order. The same schema
-//! backs `sweep --metrics-out`, the `BENCH_*.json` perf-trajectory
-//! files and the sharded-campaign merge path, and it parses back via
+//! backs `sweep --metrics-out` and the `BENCH_*.json` perf-trajectory
+//! files, and it parses back via
 //! [`MetricsSnapshot::from_json`] — no serde in the workspace.
 
 use std::collections::BTreeMap;
@@ -59,7 +59,7 @@ impl CellMetrics {
 /// A complete, deterministic copy of a registry's state.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Free-form context: sweep name, shard, engine version, …
+    /// Free-form context: sweep name, engine version, …
     pub meta: BTreeMap<String, String>,
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
