@@ -1,5 +1,5 @@
-//! Shared experiment driver for the figure/table regeneration binaries
-//! and the Criterion benches, built on the [`therm3d_sweep`] engine.
+//! Shared experiment driver for the figure/table regeneration binaries,
+//! built on the [`therm3d_sweep`] engine.
 //!
 //! Every figure of the paper is regenerated by a binary in `src/bin/`:
 //!
@@ -45,32 +45,24 @@
 //! [`therm3d_sweep::CacheStore`]: rerunning a figure (or running fig4
 //! after fig5, which share cells) only simulates what the cache has not
 //! seen, and the printed tables are byte-identical either way.
+//!
+//! The performance harness is `perfbench/`, a workspace of its own.
+//! This crate's release-gated tests hold the scaling asserts:
+//! `tests/solver_scale.rs` (solver pipelines and per-tick integrator
+//! ratios) and `tests/throughput_scale.rs` (heap high-water and
+//! allocations over long simulations).
 
 use std::path::PathBuf;
 
-use therm3d::{RunResult, SimConfig};
+use therm3d::RunResult;
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_sweep::{sim_seconds_from_env, CacheStore, SweepSpec};
-use therm3d_workload::{generate_mix, Benchmark, JobTrace};
+use therm3d_workload::Benchmark;
 
 /// Environment variable naming the figure binaries' result-cache
 /// directory; unset means no caching.
 pub const CACHE_DIR_ENV: &str = "THERM3D_CACHE_DIR";
-
-/// Criterion sample count honouring smoke mode: with
-/// `THERM3D_BENCH_SMOKE` set (as CI's bench-tripwire step does), every
-/// bench group shrinks to 3 samples so the whole suite runs in seconds;
-/// otherwise `full` is used. Shared by all bench targets so the smoke
-/// switch cannot drift between them.
-#[must_use]
-pub fn smoke_samples(full: usize) -> usize {
-    if std::env::var_os("THERM3D_BENCH_SMOKE").is_some() {
-        3
-    } else {
-        full
-    }
-}
 
 /// [`sim_seconds_from_env`] for binary entry points: a malformed
 /// `THERM3D_SIM_SECONDS` exits with the parse error (status 2) instead
@@ -203,20 +195,6 @@ impl FigureConfig {
             .with_grid(self.grid.0, self.grid.1)
             .with_policy_seed(self.policy_seed)
             .with_threads(self.threads)
-    }
-
-    /// Generates the workload trace for `experiment`.
-    #[must_use]
-    pub fn trace_for(&self, experiment: Experiment) -> JobTrace {
-        generate_mix(&self.benchmarks, experiment.num_cores(), self.sim_seconds, self.trace_seed)
-    }
-
-    /// The simulator configuration for `experiment`.
-    #[must_use]
-    pub fn sim_config(&self, experiment: Experiment) -> SimConfig {
-        let mut cfg = SimConfig::paper_default(experiment);
-        cfg.thermal = cfg.thermal.with_grid(self.grid.0, self.grid.1);
-        cfg
     }
 }
 

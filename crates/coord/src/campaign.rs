@@ -13,12 +13,12 @@
 //! dedup is always safe.
 //!
 //! Cells can also be done before any lease: the coordinator completes
-//! the cells its own cache holds up front. Every range, fresh or
-//! re-queued, is trimmed of done cells at both ends before it is
-//! granted, so a range that is entirely done is never leased. A done
-//! cell *inside* a granted range is simulated again by the worker;
-//! first-write dedup keeps the first (cached) line, and the bytes are
-//! the same either way.
+//! the cells its own cache holds up front. A lease only ever covers
+//! undone cells: each grant is the next run of consecutive undone
+//! cells of a range, fresh or re-queued, so a range that is entirely
+//! done is never leased, and a range with done cells inside it is
+//! split around them. The rest of a split range stays queued ahead of
+//! fresh cells; it is not a re-issue.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -79,8 +79,9 @@ pub struct Campaign {
     next_fresh: usize,
     next_lease_id: u64,
     active: BTreeMap<u64, Lease>,
-    /// Ranges forfeited by dead/expired leases, re-issued before fresh
-    /// cells.
+    /// Ranges waiting to be leased before fresh cells: those forfeited
+    /// by dead/expired leases, and the rest of a range split around
+    /// done cells.
     requeued: VecDeque<(usize, usize)>,
     /// Completed cells: canonical index → encoded result line
     /// (first-write wins).
@@ -177,43 +178,41 @@ impl Campaign {
         self.reissued += 1;
     }
 
-    /// Trims already-completed cells off both ends of a range; returns
-    /// `None` when nothing in it remains to compute.
-    fn trim(&self, mut start: usize, mut len: usize) -> Option<(usize, usize)> {
-        while len > 0 && self.done.contains_key(&start) {
-            start += 1;
-            len -= 1;
+    /// The first run of consecutive undone cells in `start..start + len`;
+    /// whatever follows the run goes back to the front of the queue.
+    /// `None` when every cell of the range is done.
+    fn next_run(&mut self, start: usize, len: usize) -> Option<(usize, usize)> {
+        let end = start + len;
+        let first = (start..end).find(|i| !self.done.contains_key(i))?;
+        let stop = (first..end).find(|i| self.done.contains_key(i)).unwrap_or(end);
+        if stop < end {
+            self.requeued.push_front((stop, end - stop));
         }
-        while len > 0 && self.done.contains_key(&(start + len - 1)) {
-            len -= 1;
-        }
-        (len > 0).then_some((start, len))
+        Some((first, stop - first))
     }
 
     /// Grants the next range to `worker`: expired leases are swept and
-    /// re-issued first, then fresh cells in canonical order.
+    /// re-issued first, then fresh cells in canonical order. The grant
+    /// covers undone cells only (see the module docs).
     pub fn lease(&mut self, worker: &str, now_ms: u64) -> Grant {
         self.expire(now_ms);
         if self.is_complete() {
             return Grant::Drain;
         }
         let range = loop {
-            if let Some((start, len)) = self.requeued.pop_front() {
-                match self.trim(start, len) {
-                    Some(range) => break Some(range),
-                    None => continue,
-                }
-            }
-            if self.next_fresh < self.total {
+            let (start, len) = if let Some(range) = self.requeued.pop_front() {
+                range
+            } else if self.next_fresh < self.total {
                 let start = self.next_fresh;
                 let len = self.lease_cells.min(self.total - start);
                 self.next_fresh = start + len;
-                match self.trim(start, len) {
-                    Some(range) => break Some(range),
-                    None => continue,
-                }
+                (start, len)
+            } else {
+                break None;
+            };
+            if let Some(run) = self.next_run(start, len) {
+                break Some(run);
             }
-            break None;
         };
         match range {
             Some((start, len)) => {
@@ -422,17 +421,19 @@ mod tests {
         let warm = [0, 1, 2, 4, 6].map(|i| (i, line(i))).to_vec();
         assert_eq!(c.complete(0, warm, 0).unwrap(), 5);
         assert_eq!(c.remaining(), 4);
-        // 0..3 is all done and never leased. 3..6 keeps the done cell 4
-        // in its middle (only the ends are trimmed), and the partly done
-        // fresh range 6..9 is trimmed to 7..9.
+        // 0..3 is all done and never leased. 3..6 is split around the
+        // done cell 4 into 3..4 and 5..6, and the partly done fresh range
+        // 6..9 is trimmed to 7..9.
         let (id, start, len) = grant_range(c.lease("w1", 0));
-        assert_eq!((start, len), (3, 3));
+        assert_eq!((start, len), (3, 1));
+        let (_, start, len) = grant_range(c.lease("w1", 0));
+        assert_eq!((start, len), (5, 1));
         let (_, start, len) = grant_range(c.lease("w1", 0));
         assert_eq!((start, len), (7, 2));
         assert_eq!(c.lease("w1", 0), Grant::Wait, "nothing else is undone");
-        // The worker simulates cell 4 again; first write wins.
-        assert_eq!(c.complete(id, (3..6).map(|i| (i, line(i))).collect(), 10).unwrap(), 2);
-        assert_eq!(c.active_leases(), 1, "lease 3..6 is retired");
+        assert_eq!(c.reissue_count(), 0, "splitting a range is not a re-issue");
+        assert_eq!(c.complete(id, vec![(3, line(3))], 10).unwrap(), 1);
+        assert_eq!(c.active_leases(), 2, "lease 3..4 is retired");
 
         // A campaign that is done before any lease drains at once.
         let mut warm = Campaign::new(2, 1, 100);

@@ -304,6 +304,30 @@ fn serve_answers_cached_cells_and_leases_only_the_rest() {
 }
 
 #[test]
+fn a_cached_cell_inside_a_lease_range_is_not_simulated_again() {
+    let spec = spec("coord-split");
+    let single = therm3d_sweep::run(&spec).expect("single-process run").csv();
+    let dir = std::env::temp_dir().join(format!("therm3d-coord-split-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // One lease would cover the whole campaign, but cell 1 is cached.
+    let mut store = CacheStore::open(&dir).expect("open cache");
+    run_cells_with_telemetry(&spec, &[1], Some(&mut store), None).expect("pre-fill");
+    let opts = ServeOptions { lease_cells: Some(CELLS), lease_timeout_ms: 60_000 };
+    let server = Server::bind(&spec, "127.0.0.1:0", &opts).expect("bind");
+    let addr = server.local_addr().to_string();
+    let worker = thread::spawn(move || work(&addr, &WorkOptions::default()));
+    let report = server.run(Some(&mut store), None).expect("campaign");
+    let summary = worker.join().expect("worker thread").expect("worker");
+    assert_eq!(report.csv(), single);
+    // The range is split around the cached cell: 0..1, then 2..4.
+    assert_eq!((summary.cells, summary.leases), (CELLS - 1, 2), "{summary:?}");
+    drop(store);
+    assert_eq!(stored_lines(&dir), CELLS, "one stored line per cell");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_worker_rejects_a_spec_with_a_shard_key() {
     // A coordinator from before static shards were removed still sends
     // `shard = "0/1"` in its Welcome; the worker fails with a typed

@@ -166,9 +166,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte-offset–annotated message on malformed input.
+    /// Returns a byte-offset–annotated message on malformed input,
+    /// including arrays and objects nested more than 128 deep.
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -206,9 +207,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document could overflow the
+/// stack; the deepest document the workspace writes (a metrics
+/// snapshot) nests 4 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -246,8 +255,15 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -447,6 +463,20 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "01x", "\"abc", "nul", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting deeper than 128"));
+        let deep_objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&deep_objects).unwrap_err().contains("nesting deeper than 128"));
+        // The cap itself parses, and round-trips.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let value = Json::parse(&at_cap).unwrap();
+        assert_eq!(value.compact(), at_cap);
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).is_err());
     }
 
     #[test]

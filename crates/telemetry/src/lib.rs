@@ -30,17 +30,16 @@
 //!   (`Span::enter("factor_numeric")`), nestable, recorded into a
 //!   histogram on drop.
 //! - [`MetricsSnapshot`] — a deterministic (BTree-ordered) snapshot
-//!   with hand-rolled JSON serialization *and* parsing, so snapshots
-//!   round-trip without serde and trajectory files (`BENCH_*.json`,
-//!   `--metrics-out`) share one schema.
+//!   with hand-rolled JSON serialization *and* parsing, so
+//!   `--metrics-out` files round-trip without serde.
 //! - [`EventSink`] — a JSONL stream of per-cell lifecycle events
 //!   (start / cache-hit / finish / panic) for `--trace-out`.
 //! - [`Progress`] — a throttled, single-line stderr progress reporter
 //!   for `--progress` (cells done/total, cells/s, hit rate, ETA).
 //! - [`CountingAllocator`] — an opt-in, per-binary counting global
 //!   allocator (live / high-water bytes, allocation counts) backing the
-//!   throughput-mode memory gauges and the bench alloc-profile
-//!   tripwire; its readers are inert zeros when not installed.
+//!   throughput-mode memory gauges and the allocation-count tests; its
+//!   readers are inert zeros when not installed.
 
 pub mod alloc;
 pub mod events;

@@ -2,9 +2,8 @@
 //!
 //! A [`MetricsSnapshot`] is plain data ordered by `BTreeMap`, so two
 //! snapshots of the same campaign state render to byte-identical JSON
-//! regardless of thread count or registration order. The same schema
-//! backs `sweep --metrics-out` and the `BENCH_*.json` perf-trajectory
-//! files, and it parses back via
+//! regardless of thread count or registration order. The schema backs
+//! `sweep --metrics-out`, and it parses back via
 //! [`MetricsSnapshot::from_json`] — no serde in the workspace.
 
 use std::collections::BTreeMap;
@@ -147,7 +146,12 @@ impl MetricsSnapshot {
         }
         if let Some(fields) = doc.get("gauges").and_then(Json::as_obj) {
             for (k, v) in fields {
-                let n = v.as_f64().ok_or_else(|| format!("gauges.{k}: expected number"))?;
+                // `to_json` spells a non-finite gauge `null`, so a literal
+                // that overflows `f64` is no gauge it could have written.
+                let n = v
+                    .as_f64()
+                    .filter(|n| n.is_finite())
+                    .ok_or_else(|| format!("gauges.{k}: expected finite number"))?;
                 snap.gauges.insert(k.clone(), n);
             }
         }
@@ -295,6 +299,7 @@ mod tests {
         assert!(MetricsSnapshot::from_json("[]").is_ok()); // no sections: empty snapshot
         assert!(MetricsSnapshot::from_json("{\"counters\":{\"a\":-1}}").is_err());
         assert!(MetricsSnapshot::from_json("{\"meta\":{\"a\":1}}").is_err());
+        assert!(MetricsSnapshot::from_json("{\"gauges\":{\"g\":1e999}}").is_err());
         assert!(MetricsSnapshot::from_json("{\"histograms\":{\"h\":{\"edges\":[1],\"buckets\":[1],\"count\":1,\"sum\":1,\"min\":1,\"max\":1}}}").is_err());
         assert!(MetricsSnapshot::from_json("not json").is_err());
     }

@@ -2,8 +2,8 @@
 //! `from_json(to_json(s)) == s` for arbitrary metric names (including
 //! quotes and non-ASCII), full-range `u64` counters, histograms built
 //! from random samples, and per-cell records. This is the contract the
-//! `--metrics-out` files, `BENCH_*.json` trajectories and any future
-//! snapshot-merging coordinator rely on.
+//! `--metrics-out` files and any future snapshot-merging coordinator
+//! rely on.
 
 use std::collections::BTreeMap;
 

@@ -1,8 +1,9 @@
 //! Figure-shape regression tests: the qualitative relationships the
 //! paper's evaluation reports must hold when the experiment harness runs
-//! at reduced scale (shorter traces, 4×4 grid). EXPERIMENTS.md records
-//! the full-scale numbers; these tests pin the *ordering* so refactors
-//! cannot silently break the reproduction.
+//! at reduced scale (shorter traces, 4×4 grid). These tests pin the
+//! *ordering* so refactors cannot silently break the reproduction; no
+//! record of the paper-scale numbers (8×8, 240 s) exists yet, and
+//! ROADMAP item 2 plans one.
 
 use therm3d::{RunResult, SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
