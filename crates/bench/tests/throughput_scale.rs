@@ -77,7 +77,6 @@ fn streaming_heap_high_water_is_duration_independent() {
     // The acceptance bound: simulating 60x the duration may not grow
     // the heap high-water mark beyond 25%. With streamed traces and
     // online metric folds the usual reading is a ratio of exactly 1.
-    #[allow(clippy::cast_precision_loss)]
     let ratio = hw_long as f64 / hw_short.max(1) as f64;
     assert!(
         ratio <= 1.25,
@@ -88,7 +87,6 @@ fn streaming_heap_high_water_is_duration_independent() {
     // Allocation-count sanity: the tick loop is allocation-free, so the
     // extra simulated seconds cost far less than one allocation per
     // tick (10 ticks per simulated second).
-    #[allow(clippy::cast_precision_loss)]
     let allocs_per_sim_s = (allocs_long as f64 - allocs_short as f64) / (long_s - short_s);
     assert!(
         allocs_per_sim_s < 1000.0,

@@ -457,6 +457,9 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseCl
     if sim.grid == 0 {
         return Err(ParseCliError("`--grid` must be at least 1".into()));
     }
+    if cores == 0 {
+        return Err(ParseCliError("`--cores` must be at least 1".into()));
+    }
     let spec_sweep = sub == "sweep" && spec_path.is_some();
     let serve_cmd = sub == "serve";
     let work_cmd = sub == "work";
@@ -1130,6 +1133,8 @@ mod tests {
             assert!(err.contains("finite"), "{bad}: {err}");
         }
         assert!(parse(argv("run --grid 0")).unwrap_err().0.contains("at least 1"));
+        let err = parse(argv("trace --cores 0")).unwrap_err().0;
+        assert!(err.contains("--cores") && err.contains("at least 1"), "{err}");
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! slow or dead one forfeits only what it holds, and every machine only
 //! needs to reach the coordinator's TCP port:
 //!
-//! * [`wire`] — a zero-dependency, length-prefixed, FNV-checksummed
-//!   frame codec and the protocol's nine messages
+//! * [`wire`] — a length-prefixed, FNV-checksummed frame codec and
+//!   the protocol's nine messages
 //!   (hello/welcome/lease-request/lease-grant/result-batch/heartbeat/
 //!   drain/ack/reject). The on-wire layout is fingerprinted
-//!   ([`wire::WIRE_FINGERPRINT`]) and guarded by `therm3d_lint`'s
-//!   salt-drift rule, exactly like the sweep cache's cell descriptor.
+//!   ([`wire::WIRE_FINGERPRINT`]) and checked by the workspace's
+//!   `tests/source_invariants.rs`, exactly like the sweep cache's cell
+//!   descriptor.
 //! * [`campaign`] — the pure lease state machine ([`Campaign`]):
 //!   deadline-based expiry with an injected mock-testable clock (and
 //!   the earliest deadline, [`Campaign::next_deadline`], for the server
@@ -39,6 +40,9 @@
 //! SIGKILLs a worker mid-campaign and diffs exactly that.
 //!
 //! [`SweepReport`]: therm3d_sweep::SweepReport
+
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
 
 pub mod campaign;
 pub mod server;

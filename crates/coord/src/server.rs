@@ -156,7 +156,10 @@ impl Server {
             TcpListener::bind(listen).map_err(|e| format!("cannot listen on {listen}: {e}"))?;
         let local_addr =
             listener.local_addr().map_err(|e| format!("cannot read bound address: {e}"))?;
-        // lint: allow(no-wall-clock): lease-deadline bookkeeping only — results stay a pure function of the spec
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "lease-deadline bookkeeping only: results stay a pure function of the spec"
+        )]
         let epoch = Instant::now();
         Ok(Self {
             listener,
@@ -233,7 +236,10 @@ impl Server {
             self.spec.name, self.local_addr, self.shared.total, self.shared.lease_cells
         );
         let shared = Arc::clone(&self.shared);
-        // lint: allow(no-thread-spawn): the blocking accept loop is protocol I/O — cells run in worker processes via the sweep runner
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the blocking accept loop is protocol I/O: cells run in worker processes via the sweep runner"
+        )]
         let acceptor = std::thread::spawn(move || accept_loop(&listener, &shared));
         self.wait_for_completion()?;
         if let Some(p) = &self.shared.progress {
@@ -393,7 +399,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<Handler> {
         };
         eprintln!("coord: {worker} connected from {peer}");
         let shared = Arc::clone(shared);
-        // lint: allow(no-thread-spawn): protocol I/O threads — cell execution happens in worker processes via the sweep runner
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "protocol I/O threads: cells run in worker processes via the sweep runner"
+        )]
         let handler = std::thread::spawn(move || handle_worker(stream, &worker, &shared));
         handlers.push((socket, handler));
     }

@@ -1,7 +1,7 @@
 //! Length-prefixed, versioned wire protocol for the campaign service.
 //!
-//! The codec is dependency-free and fully deterministic. Every message
-//! travels in one frame:
+//! The codec is fully deterministic. Every message travels in one
+//! frame:
 //!
 //! ```text
 //! [payload length: u32 BE][payload][FNV-1a-64(payload): u64 BE]
@@ -18,12 +18,14 @@
 //! is exchanged in the `Hello`/`Welcome` handshake (mismatched peers
 //! are rejected before any lease moves), and the on-wire layout is
 //! FNV-fingerprinted ([`WIRE_FINGERPRINT`] over the [`WIRE_DESCRIPTOR`]
-//! region below) so `therm3d_lint`'s salt-drift rule fails CI whenever
-//! the frame shape changes without a version bump — exactly the
-//! mechanism that guards the sweep cache's cell descriptor.
+//! region below) so the workspace's `tests/source_invariants.rs` fails
+//! whenever the frame shape changes without a version bump — exactly
+//! the mechanism that guards the sweep cache's cell descriptor.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
+
+use therm3d_sweep::fnv1a64;
 
 /// Version string exchanged in the `Hello`/`Welcome` handshake. Bump it
 /// (and re-record [`WIRE_FINGERPRINT`]) whenever the frame layout or
@@ -37,16 +39,16 @@ pub const PROTOCOL_VERSION: &str = "therm3d-coord/v2";
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// FNV-1a-64 fingerprint of [`WIRE_DESCRIPTOR`] (salted with
-/// [`PROTOCOL_VERSION`]), recorded so the lint can detect drift: editing
-/// the descriptor region without bumping the protocol version fails
-/// `therm3d_lint`. The failing lint prints the expected value.
+/// [`PROTOCOL_VERSION`]), recorded so drift is caught: editing the
+/// descriptor region without bumping the protocol version fails the
+/// workspace's `tests/source_invariants.rs`, which prints the new value.
 pub const WIRE_FINGERPRINT: u64 = 0xc569_cf6a_4c55_1a10;
 
 // The protocol's on-wire shape as one canonical string. This is what
-// the lint fingerprints: any change to the framing or message layout
+// gets fingerprinted: any change to the framing or message layout
 // must edit this descriptor, and editing it without bumping
-// PROTOCOL_VERSION (and re-recording WIRE_FINGERPRINT) is a CI failure.
-// lint: region(fingerprint: wire-protocol)
+// PROTOCOL_VERSION (and re-recording WIRE_FINGERPRINT) is a test failure.
+// region(fingerprint: wire-protocol)
 /// Canonical one-line description of the wire format, fingerprinted by
 /// the lint's salt-drift rule (see [`WIRE_FINGERPRINT`]).
 pub const WIRE_DESCRIPTOR: &str = "frame=[len:u32be][payload][fnv1a64:u64be];max_frame=16MiB;\
@@ -60,7 +62,7 @@ pub const WIRE_DESCRIPTOR: &str = "frame=[len:u32be][payload][fnv1a64:u64be];max
      drain:7{};\
      ack:8{};\
      reject:9{reason:string}";
-// lint: end-region
+// end-region
 
 /// Typed decode/transport failure. Every malformed input maps here —
 /// the codec never panics on wire data.
@@ -171,18 +173,6 @@ pub enum Msg {
         /// Human-readable refusal reason.
         reason: String,
     },
-}
-
-/// FNV-1a 64-bit hash — the same function the sweep cache uses, local
-/// so the codec stays dependency-free.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -509,7 +499,7 @@ mod tests {
     fn descriptor_names_every_tag() {
         // The fingerprinted descriptor must cover the whole message
         // set: adding a variant without recording it (and re-salting)
-        // is exactly the drift the lint exists to catch.
+        // is exactly the drift the fingerprint exists to catch.
         for needle in [
             "hello:1",
             "welcome:2",

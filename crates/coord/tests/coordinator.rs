@@ -3,8 +3,10 @@
 //! byte-identical report of a single-process sweep — including when a
 //! worker takes a lease and dies or hangs without ever reporting.
 //! Threads are ordered with channels, never with sleeps.
-//! (`tests/` is outside the workspace lint's thread-spawn scope; the
-//! product code keeps cell execution in worker processes.)
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the loopback tests run a coordinator and its workers on threads of one process"
+)]
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};

@@ -253,7 +253,7 @@ impl Simulator {
         let mut vf_index: Vec<usize> = Vec::with_capacity(n_cores);
         let mut asleep: Vec<bool> = Vec::with_capacity(n_cores);
 
-        // lint: region(alloc-free: engine-tick)
+        // region(alloc-free: engine-tick)
         while self.now_s < duration_s
             || (self.queues.in_flight() > 0 && self.now_s < deadline)
             || (cursor.has_pending() && self.now_s < deadline)
@@ -395,7 +395,7 @@ impl Simulator {
             std::mem::swap(&mut temps_c, &mut temps_after);
             self.now_s += tick;
         }
-        // lint: end-region
+        // end-region
 
         RunResult {
             policy: self.policy.name().to_owned(),

@@ -34,6 +34,9 @@
 //! println!("{result}");
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod config;
 pub mod engine;
 pub mod result;

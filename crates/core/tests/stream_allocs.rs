@@ -1,8 +1,9 @@
 //! Draining a job stream allocates nothing: under the counting
 //! allocator, once a stream is built, every `next_job` call up to
 //! exhaustion makes zero heap allocations. This is the runtime check
-//! behind the `job-advance` alloc-free lint regions in
-//! `crates/workload/src/source.rs`.
+//! behind the `job-advance` alloc-free regions in
+//! `crates/workload/src/source.rs`, whose source the workspace's
+//! `tests/source_invariants.rs` checks.
 //!
 //! Both stream kinds the engine consumes are drained: a single
 //! benchmark's `TraceConfig::stream()` and `stream_mix`, which is what

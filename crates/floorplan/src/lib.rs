@@ -22,6 +22,9 @@
 //! Lengths are millimetres throughout (matching the paper's Table II); the
 //! thermal crate converts to SI units internally.
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod block;
 pub mod experiment;
 pub mod floorplan;

@@ -17,6 +17,9 @@
 //! The crate is dependency-free; the simulation engine feeds it plain
 //! slices each sampling interval.
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod cycles;
 pub mod gradients;
 pub mod hotspots;

@@ -27,6 +27,9 @@
 //! assert_eq!(policy.name(), "Adapt3D");
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod adaptive;
 pub mod baseline;
 pub mod dpm;

@@ -24,6 +24,9 @@
 //! println!("total chip power: {:.1} W", watts.iter().sum::<f64>());
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod leakage;
 pub mod model;
 pub mod vf;

@@ -35,6 +35,9 @@
 //! assert!(report.cycling_damage_per_hour > 0.0);
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod arrhenius;
 pub mod cycling;
 pub mod nbti;

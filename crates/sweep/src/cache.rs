@@ -73,13 +73,13 @@ use crate::spec::SweepSpec;
 pub const ENGINE_VERSION: &str = "therm3d-sweep-cache/v6";
 
 /// FNV-64 fingerprint of [`ENGINE_VERSION`] plus the source text of the
-/// cell-descriptor serialization region below (the `lint:
-/// region(fingerprint: cell-descriptor)` block in
-/// [`cell_key_salted`]). `therm3d_lint`'s `cache-salt-drift` rule
-/// recomputes it on every run: editing the descriptor without bumping
-/// the salt — which would serve stale cache entries for new semantics —
-/// makes the lint (and CI) fail until both constants are updated
-/// together. The lint's error message prints the new value.
+/// cell-descriptor serialization region below (the
+/// `region(fingerprint: cell-descriptor)` block in
+/// [`cell_key_salted`]). The workspace's `tests/source_invariants.rs`
+/// recomputes it: editing the descriptor without bumping the salt —
+/// which would serve stale cache entries for new semantics — fails the
+/// test until both constants are updated together. The failure prints
+/// the new value.
 pub const DESCRIPTOR_FINGERPRINT: u64 = 0x91b7_57f2_9bda_0a12;
 
 /// File name of the result store inside a cache directory.
@@ -139,7 +139,7 @@ pub fn cell_key_salted(spec: &SweepSpec, cell: &SweepCell, salt: &str) -> CellKe
     // implied). The spec name, thread count and cell index are
     // deliberately absent, so renaming or reordering a campaign still
     // reuses its cells.
-    // lint: region(fingerprint: cell-descriptor)
+    // region(fingerprint: cell-descriptor)
     let descriptor = format!(
         "engine={salt};experiment={};stack_order={};tsv={};sensor={};integrator={};policy={};\
          dpm={};benchmarks={};trace_seed={};policy_seed={};sim_seconds={:?};grid={}x{}",
@@ -157,7 +157,7 @@ pub fn cell_key_salted(spec: &SweepSpec, cell: &SweepCell, salt: &str) -> CellKe
         spec.grid.0,
         spec.grid.1,
     );
-    // lint: end-region
+    // end-region
     CellKey { hash: fnv1a64(descriptor.as_bytes()), descriptor }
 }
 

@@ -58,6 +58,9 @@
 //! println!("{}", report.render());
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod cache;
 pub mod error;
 pub mod matrix;
@@ -68,7 +71,7 @@ pub mod telemetry;
 pub mod toml;
 
 pub use cache::{
-    cell_key, decode_line, encode_line, CacheStats, CacheStore, CellKey, CompactStats,
+    cell_key, decode_line, encode_line, fnv1a64, CacheStats, CacheStore, CellKey, CompactStats,
     DESCRIPTOR_FINGERPRINT, ENGINE_VERSION,
 };
 pub use error::SweepError;

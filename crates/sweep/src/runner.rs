@@ -114,7 +114,10 @@ fn run_cell_costed(
     cell: &SweepCell,
     share: Option<&FactorShare>,
 ) -> (RunResult, CellCost) {
-    // lint: allow(no-wall-clock): per-cell cost accounting only — never feeds results
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "per-cell cost accounting only: never feeds results"
+    )]
     let t_wall = Instant::now();
     // The policy must see the same stack the engine simulates (Adapt3D's
     // thermal indices depend on which layer each core sits on).
@@ -122,7 +125,10 @@ fn run_cell_costed(
     let policy = cell.policy.build_with_dpm(&stack, cell.policy_seed, cell.dpm);
     let mut sim = Simulator::with_factor_share(sim_config(spec, cell), policy, share.cloned());
     let setup_us = elapsed_us(t_wall);
-    // lint: allow(no-wall-clock): per-cell cost accounting only — never feeds results
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "per-cell cost accounting only: never feeds results"
+    )]
     let t_sim = Instant::now();
     let source = stream_mix(
         &spec.benchmarks,
@@ -300,7 +306,10 @@ fn run_selected(
     // by canonical index. Cells keep their indices and derived seeds, so
     // everything below — keys, seeds, write-back, report rows — is the
     // same whichever cells run together.
-    // lint: allow(no-wall-clock): expansion-phase telemetry only — never feeds results
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "expansion-phase telemetry only: never feeds results"
+    )]
     let t_expand = Instant::now();
     let mut cells = {
         let _span = Span::enter("sweep.expand_us");
@@ -320,7 +329,10 @@ fn run_selected(
     if let Some(store) = cache.as_deref_mut() {
         let _span = Span::enter("cache.lookup_us");
         for (slot, key) in results.iter_mut().zip(&keys) {
-            // lint: allow(no-wall-clock): cache-lookup telemetry only — never feeds results
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "cache-lookup telemetry only: never feeds results"
+            )]
             let t = Instant::now();
             *slot = store.lookup(key).map(Ok);
             lookup_us.push(elapsed_us(t));
@@ -390,6 +402,10 @@ fn run_selected(
         type CellOutcome = (usize, Result<RunResult, String>, Option<CellCost>);
         let (tx, rx) = mpsc::channel::<CellOutcome>();
         let (next, pending_ref, cells_ref, keys_ref) = (&next, &pending, &cells, &keys);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the sweep runner owns cell-level parallelism: each cell lands in its canonical slot, so the thread count never changes a report"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();

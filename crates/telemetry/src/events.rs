@@ -91,6 +91,10 @@ impl EventSink {
 
     /// A sink over any writer (tests pass a shared buffer).
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "event timestamps are telemetry: they never reach a report"
+    )]
     pub fn to_writer(out: Box<dyn Write + Send>) -> Self {
         Self { out: Mutex::new(out), start: Instant::now() }
     }

@@ -41,6 +41,9 @@
 //!   throughput-mode memory gauges and the allocation-count tests; its
 //!   readers are inert zeros when not installed.
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod alloc;
 pub mod events;
 pub mod json;

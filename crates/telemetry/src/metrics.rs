@@ -197,10 +197,7 @@ impl HistogramSnapshot {
         if self.count == 0 {
             0.0
         } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.sum as f64 / self.count as f64
-            }
+            self.sum as f64 / self.count as f64
         }
     }
 }

@@ -37,6 +37,7 @@ impl Progress {
     /// A reporter over any writer with an explicit redraw throttle
     /// (tests use a shared buffer and an hour-long interval).
     #[must_use]
+    #[allow(clippy::disallowed_methods, reason = "the progress line's rate is telemetry on stderr")]
     pub fn with_writer(out: Box<dyn Write + Send>, min_interval: Duration) -> Self {
         Self {
             out: Mutex::new(out),
@@ -85,6 +86,7 @@ impl Progress {
 
     fn maybe_draw(&self, force: bool) {
         let mut last = self.last_draw.lock().expect("lock poisoned");
+        #[allow(clippy::disallowed_methods, reason = "redraw throttling only: output on stderr")]
         let now = Instant::now();
         let due = match *last {
             None => true,
@@ -101,7 +103,6 @@ impl Progress {
         let _ = out.flush();
     }
 
-    #[allow(clippy::cast_precision_loss)]
     fn render(&self) -> String {
         let total = self.total.load(Ordering::Relaxed);
         let done = self.done.load(Ordering::Relaxed);

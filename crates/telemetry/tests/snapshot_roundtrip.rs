@@ -47,7 +47,6 @@ proptest! {
             snap.counters.insert(name(i + slot), *v);
         }
         for (slot, (i, num, den)) in gauges.iter().enumerate() {
-            #[allow(clippy::cast_precision_loss)]
             snap.gauges.insert(name(i + slot), *num as f64 / *den as f64);
         }
         let hist = Histogram::with_edges(&[10, 1_000, 100_000]);

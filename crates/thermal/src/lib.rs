@@ -38,6 +38,9 @@
 //! assert!(steady.iter().cloned().fold(f64::MIN, f64::max) > 45.0);
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod config;
 pub mod grid;
 pub mod material;

@@ -101,7 +101,7 @@ impl Eigenbasis {
     /// One tick under block powers `powers`: `x ← r⊙x + s⊙(B·p)`, and
     /// `rise` becomes the block temperature rise `Bᵀ·x` over ambient,
     /// in one pass over `B`.
-    // lint: region(alloc-free: modal-tick)
+    // region(alloc-free: modal-tick)
     pub(crate) fn tick(
         &self,
         gains: &[(f64, f64)],
@@ -118,7 +118,7 @@ impl Eigenbasis {
             }
         }
     }
-    // lint: end-region
+    // end-region
 
     /// The sink's temperature rise over ambient, `z_sink·x`.
     pub(crate) fn sink_rise(&self, x: &[f64]) -> f64 {
@@ -133,7 +133,7 @@ impl Eigenbasis {
 
 /// `a·b` over four running sums, so a mode's injection does not wait on
 /// one long chain of additions.
-// lint: region(alloc-free: modal-dot)
+// region(alloc-free: modal-dot)
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let (a4, a_rest) = a.as_chunks::<4>();
     let (b4, b_rest) = b[..a.len()].as_chunks::<4>();
@@ -146,7 +146,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     let rest: f64 = a_rest.iter().zip(b_rest).map(|(x, y)| x * y).sum();
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + rest
 }
-// lint: end-region
+// end-region
 
 /// Every node's temperature rise over ambient, `C^-1/2·V·x`, for the
 /// amplitudes `x` of `network`'s eigenbasis. A diagnostic: it runs the

@@ -124,7 +124,7 @@ impl LdlFactor {
     /// # Panics
     ///
     /// Panics if `b.len()` or `x.len()` differ from `dim()`.
-    // lint: region(alloc-free: ldlt-solve)
+    // region(alloc-free: ldlt-solve)
     pub fn solve_into(&self, b: &[f64], scratch: &mut Vec<f64>, x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
         assert_eq!(x.len(), self.n, "solution length mismatch");
@@ -157,7 +157,7 @@ impl LdlFactor {
             x[old] = *zi;
         }
     }
-    // lint: end-region
+    // end-region
 }
 
 /// The value-independent half of an LDLᵀ factorization: fill-reducing

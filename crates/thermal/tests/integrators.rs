@@ -1,6 +1,7 @@
 //! Cross-checks between the implicit (pre-factored TR-BDF2) default
 //! integrator and the explicit RK4 golden reference, plus the caching
 //! and performance contracts the implicit path promises.
+#![allow(clippy::disallowed_methods, reason = "the performance contract times both integrators")]
 
 use std::time::Instant;
 

@@ -19,6 +19,9 @@
 //! println!("{} jobs, {:.1} CPU-seconds", trace.len(), trace.total_work_s());
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod benchmark;
 pub mod gen;
 pub mod job;

@@ -74,7 +74,7 @@ impl<S: JobSource> SourceCursor<S> {
         Self { source, peeked: None, exhausted: false }
     }
 
-    // lint: region(alloc-free: job-advance)
+    // region(alloc-free: job-advance)
     fn fill(&mut self) {
         if self.peeked.is_none() && !self.exhausted {
             self.peeked = self.source.next_job();
@@ -104,7 +104,7 @@ impl<S: JobSource> SourceCursor<S> {
         self.fill();
         self.peeked.is_some()
     }
-    // lint: end-region
+    // end-region
 
     /// Unwraps the cursor back into its source.
     pub fn into_inner(self) -> S {
@@ -192,7 +192,7 @@ impl TraceStream {
 }
 
 impl JobSource for TraceStream {
-    // lint: region(alloc-free: job-advance)
+    // region(alloc-free: job-advance)
     fn next_job(&mut self) -> Option<Job> {
         if self.done {
             return None;
@@ -230,7 +230,7 @@ impl JobSource for TraceStream {
             return Some(job);
         }
     }
-    // lint: end-region
+    // end-region
 }
 
 /// Benchmarks chained over equal duration slots: each slot's jobs are
@@ -273,7 +273,7 @@ impl MixStream {
 }
 
 impl JobSource for MixStream {
-    // lint: region(alloc-free: job-advance)
+    // region(alloc-free: job-advance)
     fn next_job(&mut self) -> Option<Job> {
         loop {
             let stream = self.current.as_mut()?;
@@ -302,7 +302,7 @@ impl JobSource for MixStream {
             self.current = Some(TraceStream::with_sampler(cfg, sampler));
         }
     }
-    // lint: end-region
+    // end-region
 }
 
 /// A [`MixStream`] over `benchmarks` (see [`MixStream::new`]);

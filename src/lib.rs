@@ -20,6 +20,9 @@
 //! assert!(r.perf.completed > 0);
 //! ```
 
+// Stdout carries the reports: a library writes diagnostics to stderr.
+#![warn(clippy::print_stdout)]
+
 pub mod recorder;
 pub mod textplot;
 
