@@ -7,7 +7,7 @@
 use therm3d::{SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::{AdaptivePolicy, Policy};
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 fn main() {
     let sim_seconds = therm3d_bench::sim_seconds_or_die(240.0);
@@ -19,7 +19,6 @@ fn main() {
 
     for exp in [Experiment::Exp3, Experiment::Exp4] {
         let stack = exp.stack();
-        let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), sim_seconds, 2009);
         let variants: Vec<(&str, Box<dyn Policy>)> = vec![
             (
                 "offline (geometry)",
@@ -36,8 +35,9 @@ fn main() {
             ),
         ];
         for (label, policy) in variants {
+            let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), sim_seconds, 2009);
             let mut sim = Simulator::new(SimConfig::paper_default(exp), policy);
-            let r = sim.run(&trace, sim_seconds);
+            let r = sim.run_source(jobs, sim_seconds);
             println!(
                 "{:<8} {:<22} {:>7.2} {:>7.2} {:>7.2} {:>8.2}",
                 exp.to_string(),

@@ -7,14 +7,14 @@
 use therm3d::{SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::{AdaptiveConfig, AdaptivePolicy};
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 fn run(exp: Experiment, cfg: AdaptiveConfig, sim_seconds: f64) -> therm3d::RunResult {
     let stack = exp.stack();
     let policy =
         Box::new(AdaptivePolicy::adapt3d_with_config(stack.default_thermal_indices(), cfg, 0xACE1));
-    let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), sim_seconds, 2009);
-    Simulator::new(SimConfig::paper_default(exp), policy).run(&trace, sim_seconds)
+    let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), sim_seconds, 2009);
+    Simulator::new(SimConfig::paper_default(exp), policy).run_source(jobs, sim_seconds)
 }
 
 fn main() {

@@ -94,7 +94,7 @@ fn main() {
     // Phase 2: dynamic validation of hand-picked candidates.
     use therm3d::{SimConfig, Simulator};
     use therm3d_policies::PolicyKind;
-    use therm3d_workload::{generate_mix, Benchmark};
+    use therm3d_workload::{stream_mix, Benchmark};
 
     let candidates: [(f64, f64, f64, (f64, f64)); 1] = [(45.0, 3.0, 0.2, (20.0e-6, 2.0))];
     let sim_seconds = 160.0;
@@ -123,8 +123,8 @@ fn main() {
                 cfg.thermal.tim = therm3d_thermal::Material::new(tim.1, 4.0e6);
                 cfg.power.other_w = ow;
                 let policy = kind.build_with_dpm(&stack, 0xACE1, true);
-                let trace = generate_mix(&benches, exp.num_cores(), sim_seconds, 2009);
-                let r = Simulator::new(cfg, policy).run(&trace, sim_seconds);
+                let jobs = stream_mix(&benches, exp.num_cores(), sim_seconds, 2009);
+                let r = Simulator::new(cfg, policy).run_source(jobs, sim_seconds);
                 println!("    {:<18} hot={:5.1}% grad={:5.1}% cyc={:5.1}% pk={:5.1} turn={:5.2}s migr={} unfin={}", kind.label(), r.hotspot_pct, r.gradient_pct, r.cycle_pct, r.peak_temp_c, r.perf.mean_turnaround_s, r.migrations, r.unfinished);
             }
             println!();

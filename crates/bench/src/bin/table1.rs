@@ -1,7 +1,7 @@
 //! Regenerates Table I: workload characteristics of the eight benchmarks,
 //! plus the offered load the synthetic generator achieves for each.
 
-use therm3d_workload::{Benchmark, TraceConfig};
+use therm3d_workload::{Benchmark, JobSource, TraceConfig};
 
 fn main() {
     println!("TABLE I. WORKLOAD CHARACTERISTICS");
@@ -13,8 +13,12 @@ fn main() {
         let s = b.stats();
         // Verify the synthetic generator reproduces the measured average
         // utilization (600 s, 8 cores, fixed seed).
-        let trace = TraceConfig::new(b, 8, 600.0).with_seed(2009).generate();
-        let offered = trace.offered_utilization(8, 600.0) * 100.0;
+        let mut jobs = TraceConfig::new(b, 8, 600.0).with_seed(2009).stream();
+        let mut work_s = 0.0;
+        while let Some(job) = jobs.next_job() {
+            work_s += job.work_s;
+        }
+        let offered = work_s / (600.0 * 8.0) * 100.0;
         println!(
             "{:<3} {:<12} {:>9.2} {:>9.1} {:>9.1} {:>8.1} {:>12.2}",
             b.table_index(),

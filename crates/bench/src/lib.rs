@@ -218,18 +218,6 @@ pub fn run_cell(
     therm3d_sweep::run_cell(&spec, &cell)
 }
 
-/// Runs all eleven policies on `experiment` in parallel via the sweep
-/// engine, returning results in [`PolicyKind::ALL`] order.
-///
-/// # Panics
-///
-/// Panics if the figure configuration expands to an invalid sweep spec
-/// (cannot happen for [`FigureConfig::paper_default`]-derived configs).
-#[must_use]
-pub fn run_experiment(cfg: &FigureConfig, experiment: Experiment, dpm: bool) -> Vec<RunResult> {
-    run_figure(cfg, &[experiment], dpm).pop().expect("one experiment requested").1
-}
-
 /// Runs a whole figure — `experiments` × all eleven policies — as one
 /// parallel sweep, returning per-experiment result vectors in
 /// [`PolicyKind::ALL`] order. The cells, seeds and numbers are
@@ -387,7 +375,7 @@ mod tests {
         cfg.sim_seconds = 4.0;
         cfg.benchmarks = vec![Benchmark::Gzip];
         let direct = run_cell(&cfg, Experiment::Exp1, PolicyKind::CGate, false);
-        let via_sweep = &run_experiment(&cfg, Experiment::Exp1, false)[1];
-        assert_eq!(&direct, via_sweep);
+        let figure = run_figure(&cfg, &[Experiment::Exp1], false);
+        assert_eq!(direct, figure[0].1[1]);
     }
 }

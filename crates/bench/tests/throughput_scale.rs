@@ -59,8 +59,7 @@ fn streaming_heap_high_water_is_duration_independent() {
     let (short_s, long_s) = durations();
 
     // Warm-up run, so the measured runs see steady-state allocator
-    // pools (engine-level streamed-vs-materialized bit-identity is
-    // `tests/streaming_parity.rs`'s job).
+    // pools.
     let warm = spec(short_s);
     let _ = therm3d_sweep::run_cell(&warm, &cell(&warm));
 

@@ -4,61 +4,40 @@
 
 use std::fmt::Write as _;
 
-use therm3d::{RunResult, SimConfig, Simulator};
+use therm3d::{RunResult, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_power::{CorePowerInput, PowerModel, PowerParams, VfTable};
 use therm3d_reliability::ReliabilityReport;
+use therm3d_sweep::{csv_header, csv_row, expand, sim_config, SweepSpec};
 use therm3d_thermal::{ThermalConfig, ThermalModel};
-use therm3d_workload::{stream_mix, Benchmark, MixStream, TraceConfig};
+use therm3d_workload::{stream_mix, Benchmark, JobSource, TraceConfig};
 
 use crate::args::{Command, SimOptions, SweepFormat, USAGE};
 
 impl SimOptions {
-    fn config(&self) -> SimConfig {
-        let scenario = therm3d::ScenarioConfig::paper_default()
-            .with_stack_order(self.stack_order)
-            .with_tsv(self.tsv)
-            .with_sensor(self.sensor)
-            .with_sensor_seed(therm3d_sweep::derive_sensor_seed(self.seed));
-        let mut cfg = SimConfig::paper_default(self.exp).with_scenario(scenario);
-        cfg.thermal = cfg.thermal.with_grid(self.grid, self.grid).with_integrator(self.integrator);
-        cfg
-    }
-
-    /// The simulator running `kind` on this scenario, and the jobs it
-    /// replays. The policy is built on the stack the engine simulates
-    /// (Adapt3D's thermal indices depend on which layer each core sits
-    /// on), so every subcommand drives one system.
-    fn simulator(&self, kind: PolicyKind) -> (Simulator, MixStream) {
-        let stack = self.exp.stack_with_order(self.stack_order);
-        let policy = kind.build_with_dpm(&stack, 0xACE1, self.dpm);
+    /// The one-experiment sweep these options describe, over
+    /// `policies`. `run`, `sweep` and `reliability` simulate its cells
+    /// through the sweep engine, whose defaults (policy seed `0xACE1`)
+    /// are the options' own.
+    fn spec(&self, policies: &[PolicyKind]) -> SweepSpec {
         let benchmarks = match &self.benchmark {
             Some(b) => std::slice::from_ref(b),
             None => &Benchmark::ALL,
         };
-        let jobs = stream_mix(benchmarks, self.exp.num_cores(), self.seconds, self.seed);
-        (Simulator::new(self.config(), policy), jobs)
+        SweepSpec::new("therm3d")
+            .with_experiments(&[self.exp])
+            .with_stack_orders(&[self.stack_order])
+            .with_tsv(&[self.tsv])
+            .with_sensors(&[self.sensor])
+            .with_integrators(&[self.integrator])
+            .with_policies(policies)
+            .with_dpm(&[self.dpm])
+            .with_benchmarks(benchmarks)
+            .with_seeds(&[self.seed])
+            .with_sim_seconds(self.seconds)
+            .with_grid(self.grid, self.grid)
     }
-
-    fn run(&self, kind: PolicyKind) -> RunResult {
-        let (mut sim, jobs) = self.simulator(kind);
-        sim.run_source(jobs, self.seconds)
-    }
-}
-
-/// CSV header matching [`csv_row`] (the workspace-wide schema owned by
-/// [`therm3d_sweep::report`]).
-#[must_use]
-pub fn csv_header() -> &'static str {
-    therm3d_sweep::csv_header()
-}
-
-/// One CSV row for a run result (delegates to the sweep crate's single
-/// source of truth for result serialization).
-#[must_use]
-pub fn csv_row(r: &RunResult, dpm: bool) -> String {
-    therm3d_sweep::csv_row(r, dpm)
 }
 
 /// Observability sinks a spec-file sweep can opt into; the invariant
@@ -302,7 +281,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
     match cmd {
         Command::Help => out.push_str(USAGE),
         Command::Run { sim, policy, csv } => {
-            let r = sim.run(*policy);
+            let spec = sim.spec(&[*policy]);
+            let r = therm3d_sweep::run_cell(&spec, &expand(&spec)[0]);
             if *csv {
                 let _ = writeln!(out, "{}", csv_header());
                 let _ = writeln!(out, "{}", csv_row(&r, sim.dpm));
@@ -313,6 +293,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             }
         }
         Command::Sweep { sim, csv } => {
+            let report = therm3d_sweep::run(&sim.spec(&PolicyKind::ALL))
+                .map_err(|e| format!("sweep failed: {e}"))?;
             if *csv {
                 let _ = writeln!(out, "{}", csv_header());
             } else {
@@ -327,17 +309,14 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 );
                 let _ = writeln!(out, "{}", RunResult::table_header());
             }
-            let mut baseline: Option<RunResult> = None;
-            for kind in PolicyKind::ALL {
-                let r = sim.run(kind);
+            let baseline = &report.rows[0].result;
+            for row in &report.rows {
+                let r = &row.result;
                 if *csv {
-                    let _ = writeln!(out, "{}", csv_row(&r, sim.dpm));
+                    let _ = writeln!(out, "{}", csv_row(r, sim.dpm));
                 } else {
-                    let norm = baseline.as_ref().map_or(1.0, |b| r.normalized_performance_vs(b));
+                    let norm = r.normalized_performance_vs(baseline);
                     let _ = writeln!(out, "{}  perf={norm:.3}", r.table_row());
-                }
-                if baseline.is_none() {
-                    baseline = Some(r);
                 }
             }
         }
@@ -435,10 +414,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         }
         Command::Steady { exp, grid } => out.push_str(&steady_report(*exp, *grid)),
         Command::Trace { benchmark, cores, seconds, seed, csv } => {
-            let trace = TraceConfig::new(*benchmark, *cores, *seconds).with_seed(*seed).generate();
+            let mut jobs = TraceConfig::new(*benchmark, *cores, *seconds).with_seed(*seed).stream();
             if *csv {
                 let _ = writeln!(out, "id,arrival_s,work_s,memory_intensity,thread");
-                for j in trace.jobs() {
+                while let Some(j) = jobs.next_job() {
                     let _ = writeln!(
                         out,
                         "{},{:.3},{:.4},{:.3},{}",
@@ -446,19 +425,34 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     );
                 }
             } else {
+                let (mut n, mut work_s) = (0, 0.0);
+                while let Some(j) = jobs.next_job() {
+                    n += 1;
+                    work_s += j.work_s;
+                }
                 let _ = writeln!(
                     out,
-                    "{benchmark}: {} jobs over {seconds:.0} s, {:.1} CPU-seconds, offered {:.1} % of {cores} cores",
-                    trace.len(),
-                    trace.total_work_s(),
-                    100.0 * trace.offered_utilization(*cores, *seconds)
+                    "{benchmark}: {n} jobs over {seconds:.0} s, {work_s:.1} CPU-seconds, offered {:.1} % of {cores} cores",
+                    100.0 * (work_s / (*seconds * *cores as f64))
                 );
             }
         }
         Command::Reliability { sim, policy } => {
-            let (mut simulator, jobs) = sim.simulator(*policy);
-            let mut series: Vec<Vec<f64>> = vec![Vec::new(); simulator.stack().num_cores()];
-            simulator.run_source_with_observer(jobs, sim.seconds, |s| {
+            let spec = sim.spec(&[*policy]);
+            let cell = &expand(&spec)[0];
+            // The policy must see the stack the engine simulates
+            // (Adapt3D's thermal indices depend on each core's layer).
+            let stack = cell.experiment.stack_with_order(cell.stack_order);
+            let dtm = cell.policy.build_with_dpm(&stack, cell.policy_seed, cell.dpm);
+            let mut simulator = Simulator::new(sim_config(&spec, cell), dtm);
+            let jobs = stream_mix(
+                &spec.benchmarks,
+                cell.experiment.num_cores(),
+                spec.sim_seconds,
+                cell.trace_seed,
+            );
+            let mut series: Vec<Vec<f64>> = vec![Vec::new(); stack.num_cores()];
+            simulator.run_source_with_observer(jobs, spec.sim_seconds, |s| {
                 for (acc, &t) in series.iter_mut().zip(s.core_temps_c) {
                     acc.push(t);
                 }
@@ -908,11 +902,13 @@ mod tests {
         let Command::Reliability { sim, policy } = &cmd else { panic!("{cmd:?}") };
         let stack = sim.exp.stack_with_order(sim.stack_order);
         let n = stack.num_cores();
-        let mut engine = Simulator::new(sim.config(), policy.build_with_dpm(&stack, 0xACE1, false));
-        let trace =
-            TraceConfig::new(Benchmark::WebHigh, n, sim.seconds).with_seed(sim.seed).generate();
+        let spec = sim.spec(&[*policy]);
+        let config = sim_config(&spec, &expand(&spec)[0]);
+        let mut engine = Simulator::new(config, policy.build_with_dpm(&stack, 0xACE1, false));
+        let jobs =
+            TraceConfig::new(Benchmark::WebHigh, n, sim.seconds).with_seed(sim.seed).stream();
         let mut series: Vec<Vec<f64>> = vec![Vec::new(); n];
-        engine.run_with_observer(&trace, sim.seconds, |s| {
+        engine.run_source_with_observer(jobs, sim.seconds, |s| {
             for (acc, &t) in series.iter_mut().zip(s.core_temps_c) {
                 acc.push(t);
             }

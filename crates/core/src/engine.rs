@@ -11,7 +11,7 @@ use therm3d_policies::{MultiQueue, Observation, Policy, QueueHint};
 use therm3d_power::{CorePowerInput, PowerModel};
 use therm3d_telemetry::Span;
 use therm3d_thermal::{FactorShare, ThermalModel};
-use therm3d_workload::{JobSource, JobTrace, SourceCursor};
+use therm3d_workload::{JobSource, SourceCursor};
 
 use crate::config::SimConfig;
 use crate::result::RunResult;
@@ -19,9 +19,9 @@ use crate::result::RunResult;
 /// The integrated 3D-DTM simulator.
 ///
 /// Owns the die stack, thermal and power models, the multi-queue
-/// scheduler and the policy under evaluation; [`run`](Self::run) drives
-/// them tick by tick over a workload trace and aggregates the paper's
-/// metrics.
+/// scheduler and the policy under evaluation;
+/// [`run_source`](Self::run_source) drives them tick by tick over a
+/// stream of jobs and aggregates the paper's metrics.
 ///
 /// # Examples
 ///
@@ -34,9 +34,9 @@ use crate::result::RunResult;
 /// let cfg = SimConfig::fast(Experiment::Exp1);
 /// let stack = Experiment::Exp1.stack();
 /// let policy = PolicyKind::Adapt3d.build(&stack, 7);
-/// let trace = TraceConfig::new(Benchmark::Gzip, 8, 5.0).generate();
+/// let jobs = TraceConfig::new(Benchmark::Gzip, 8, 5.0).stream();
 /// let mut sim = Simulator::new(cfg, policy);
-/// let result = sim.run(&trace, 5.0);
+/// let result = sim.run_source(jobs, 5.0);
 /// assert!(result.perf.completed > 0);
 /// ```
 pub struct Simulator {
@@ -128,7 +128,7 @@ impl Simulator {
             // engine — turnaround statistics come from the queue's online
             // fold — so the log is suppressed and memory stays O(1) in
             // the number of jobs executed.
-            queues: MultiQueue::new(n_cores).without_completion_log(),
+            queues: MultiQueue::new(n_cores),
             utilization: vec![0.0; n_cores],
             idle_time: vec![0.0; n_cores],
             now_s: 0.0,
@@ -142,24 +142,6 @@ impl Simulator {
             vertical_pairs,
             policy,
         }
-    }
-
-    /// The die stack under simulation.
-    #[must_use]
-    pub fn stack(&self) -> &Stack3d {
-        &self.stack
-    }
-
-    /// Current per-core temperatures, °C.
-    #[must_use]
-    pub fn core_temps_c(&self) -> Vec<f64> {
-        self.core_sites.iter().map(|&s| self.thermal.block_temperature_c(s)).collect()
-    }
-
-    /// Current simulated time, seconds.
-    #[must_use]
-    pub fn now_s(&self) -> f64 {
-        self.now_s
     }
 
     /// Numeric LDLᵀ factorizations performed by the thermal model so
@@ -176,41 +158,18 @@ impl Simulator {
         self.thermal.symbolic_analysis_count()
     }
 
-    /// The policy under evaluation.
-    #[must_use]
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
-    /// Runs the trace for `duration_s` of simulated time, then drains
+    /// Runs `source` for `duration_s` of simulated time, then drains
     /// remaining jobs (up to the configured drain cap), returning the
-    /// aggregated metrics.
-    pub fn run(&mut self, trace: &JobTrace, duration_s: f64) -> RunResult {
-        self.run_with_observer(trace, duration_s, |_| {})
-    }
-
-    /// Like [`run`](Self::run), but invokes `observer` once per sampling
-    /// interval with the post-step state — the hook used by the examples
-    /// to record temperature histories and by the reliability analyses.
-    pub fn run_with_observer(
-        &mut self,
-        trace: &JobTrace,
-        duration_s: f64,
-        observer: impl FnMut(&TickSample<'_>),
-    ) -> RunResult {
-        self.run_source_with_observer(trace.cursor(), duration_s, observer)
-    }
-
-    /// Runs any [`JobSource`] — a materialized trace's cursor or a lazy
-    /// streaming generator — for `duration_s` of simulated time. With a
-    /// streaming source the engine holds at most one job of lookahead,
-    /// so memory is O(1) in the simulated duration; results are
-    /// bit-identical to the materialized path over the same jobs.
+    /// aggregated metrics. The engine holds at most one job of
+    /// lookahead, so memory is O(1) in the simulated duration.
     pub fn run_source(&mut self, source: impl JobSource, duration_s: f64) -> RunResult {
         self.run_source_with_observer(source, duration_s, |_| {})
     }
 
-    /// Like [`run_source`](Self::run_source), with a per-tick observer.
+    /// Like [`run_source`](Self::run_source), but invokes `observer` once
+    /// per sampling interval with the post-step state — the hook used by
+    /// the examples to record temperature histories and by the
+    /// reliability analyses.
     pub fn run_source_with_observer(
         &mut self,
         source: impl JobSource,
@@ -421,7 +380,7 @@ impl Simulator {
 }
 
 /// Post-step state of one sampling interval, handed to
-/// [`Simulator::run_with_observer`] observers.
+/// [`Simulator::run_source_with_observer`] observers.
 ///
 /// All slices are indexed by core id except `block_temps_c` and
 /// `layer_of_block`, which cover every block in the stack.
@@ -458,8 +417,8 @@ mod tests {
         let cfg = SimConfig::fast(Experiment::Exp1);
         let stack = Experiment::Exp1.stack();
         let policy = kind.build(&stack, 0xBEEF);
-        let trace = TraceConfig::new(bench, 8, secs).with_seed(3).generate();
-        Simulator::new(cfg, policy).run(&trace, secs)
+        let jobs = TraceConfig::new(bench, 8, secs).with_seed(3).stream();
+        Simulator::new(cfg, policy).run_source(jobs, secs)
     }
 
     #[test]
@@ -479,24 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_source_is_bit_identical_to_materialized() {
-        let cfg = TraceConfig::new(Benchmark::WebMed, 8, 8.0).with_seed(11);
-        let stack = Experiment::Exp1.stack();
-        let trace = cfg.generate();
-        let materialized = Simulator::new(
-            SimConfig::fast(Experiment::Exp1),
-            PolicyKind::Adapt3d.build(&stack, 0xBEEF),
-        )
-        .run(&trace, 8.0);
-        let streamed = Simulator::new(
-            SimConfig::fast(Experiment::Exp1),
-            PolicyKind::Adapt3d.build(&stack, 0xBEEF),
-        )
-        .run_source(cfg.stream(), 8.0);
-        assert_eq!(materialized, streamed);
-    }
-
-    #[test]
     fn busy_system_heats_up() {
         let r = run_policy(PolicyKind::Default, Benchmark::WebHigh, 15.0);
         assert!(r.peak_temp_c > 60.0, "heavy load heats the chip: {:.1}", r.peak_temp_c);
@@ -509,8 +450,8 @@ mod tests {
             for kind in [PolicyKind::Default, PolicyKind::Adapt3d, PolicyKind::Adapt3dDvfsTt] {
                 let cfg = SimConfig::fast(exp);
                 let policy = kind.build(&stack, 1);
-                let trace = TraceConfig::new(Benchmark::Gcc, stack.num_cores(), 3.0).generate();
-                let r = Simulator::new(cfg, policy).run(&trace, 3.0);
+                let jobs = TraceConfig::new(Benchmark::Gcc, stack.num_cores(), 3.0).stream();
+                let r = Simulator::new(cfg, policy).run_source(jobs, 3.0);
                 assert!(r.duration_s >= 3.0, "{exp}/{kind}");
             }
         }
@@ -520,11 +461,11 @@ mod tests {
     fn dpm_reduces_energy_on_light_load() {
         let cfg = || SimConfig::fast(Experiment::Exp1);
         let stack = Experiment::Exp1.stack();
-        let trace = TraceConfig::new(Benchmark::MPlayer, 8, 20.0).with_seed(5).generate();
+        let trace = TraceConfig::new(Benchmark::MPlayer, 8, 20.0).with_seed(5);
         let base = Simulator::new(cfg(), PolicyKind::Default.build_with_dpm(&stack, 1, false))
-            .run(&trace, 20.0);
+            .run_source(trace.stream(), 20.0);
         let dpm = Simulator::new(cfg(), PolicyKind::Default.build_with_dpm(&stack, 1, true))
-            .run(&trace, 20.0);
+            .run_source(trace.stream(), 20.0);
         assert!(
             dpm.energy_j < base.energy_j * 0.95,
             "DPM {:.0} J vs base {:.0} J",

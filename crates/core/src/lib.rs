@@ -28,9 +28,9 @@
 //! let exp = Experiment::Exp2;
 //! let stack = exp.stack();
 //! let policy = PolicyKind::Adapt3d.build(&stack, 0xACE1);
-//! let trace = TraceConfig::new(Benchmark::WebMed, stack.num_cores(), 5.0).generate();
+//! let jobs = TraceConfig::new(Benchmark::WebMed, stack.num_cores(), 5.0).stream();
 //! let mut sim = Simulator::new(SimConfig::fast(exp), policy);
-//! let result = sim.run(&trace, 5.0);
+//! let result = sim.run_source(jobs, 5.0);
 //! println!("{result}");
 //! ```
 

@@ -177,7 +177,7 @@ mod tests {
             vertical_peak_c: 4.0,
             vertical_mean_c: 2.0,
             peak_temp_c: 92.0,
-            perf: PerformanceStats::from_turnarounds(&[mean_turn]),
+            perf: PerformanceStats::from_accumulated(1, mean_turn, mean_turn),
             energy_j: 3600.0,
             mean_power_w: 60.0,
             migrations: 4,

@@ -9,7 +9,8 @@
 //! two vectors; that is the one per-tick allocation left, and it is the
 //! policy's, not the engine's. Run queues grow while a backlog builds
 //! (an overloaded trace's ramp), so the trace here is one that keeps
-//! up.
+//! up. Its jobs come from a stream, as in every run, so the count
+//! covers the generator's per-job work too.
 //!
 //! The test binary installs [`CountingAllocator`] process-wide, so
 //! everything lives in ONE `#[test]`: a second concurrent test would
@@ -59,13 +60,14 @@ impl Policy for LeastLoaded {
 fn warm_allocations(cfg: &SimConfig) -> (usize, usize, usize) {
     let warm_up = cfg.cycle_window;
     let cores = cfg.experiment.num_cores();
-    let trace = TraceConfig::new(Benchmark::WebMed, cores, SECONDS).with_seed(3).generate();
+    let trace = TraceConfig::new(Benchmark::WebMed, cores, SECONDS).with_seed(3);
     let mut readings = [(0, 0); 2];
     for reading in &mut readings {
         let mut sim = Simulator::new(cfg.clone(), Box::new(LeastLoaded));
+        let jobs = trace.stream();
         let (mut ticks, mut warm_allocs) = (0usize, 0usize);
         let mut last = allocation_count();
-        let result = sim.run_with_observer(&trace, SECONDS, |_| {
+        let result = sim.run_source_with_observer(jobs, SECONDS, |_| {
             if ticks >= warm_up {
                 warm_allocs += allocation_count() - last;
             }

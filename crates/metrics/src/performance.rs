@@ -8,7 +8,8 @@
 /// ```
 /// use therm3d_metrics::PerformanceStats;
 ///
-/// let stats = PerformanceStats::from_turnarounds(&[1.0, 2.0, 3.0]);
+/// // Three completions with turnarounds of 1, 2 and 3 s.
+/// let stats = PerformanceStats::from_accumulated(3, 6.0, 3.0);
 /// assert_eq!(stats.completed, 3);
 /// assert!((stats.mean_turnaround_s - 2.0).abs() < 1e-12);
 /// ```
@@ -20,32 +21,14 @@ pub struct PerformanceStats {
     pub mean_turnaround_s: f64,
     /// Maximum turnaround, seconds.
     pub max_turnaround_s: f64,
-    /// Total CPU demand completed, seconds (throughput numerator).
+    /// Sum of turnarounds, seconds.
     pub total_turnaround_s: f64,
 }
 
 impl PerformanceStats {
-    /// Builds statistics from turnaround times.
-    #[must_use]
-    pub fn from_turnarounds(turnarounds_s: &[f64]) -> Self {
-        let completed = turnarounds_s.len();
-        let total: f64 = turnarounds_s.iter().sum();
-        let max = turnarounds_s.iter().copied().fold(0.0, f64::max);
-        Self {
-            completed,
-            mean_turnaround_s: if completed == 0 { 0.0 } else { total / completed as f64 },
-            max_turnaround_s: max,
-            total_turnaround_s: total,
-        }
-    }
-
-    /// Builds statistics from an online fold over turnaround times, for
-    /// consumers that never hold the per-job list: accumulate
-    /// `total += t`, `max = max.max(t)` (seeded at 0.0) and a count in
-    /// completion order, and the result is bit-identical to
-    /// [`from_turnarounds`](Self::from_turnarounds) over the same
-    /// sequence (`iter().sum()` and `fold(0.0, f64::max)` associate
-    /// left-to-right exactly like the running fold).
+    /// Builds statistics from an online fold over turnaround times: a
+    /// count, `total += t` and `max = max.max(t)` (seeded at 0.0),
+    /// accumulated in completion order, as the run queues keep them.
     #[must_use]
     pub fn from_accumulated(completed: usize, total_s: f64, max_s: f64) -> Self {
         Self {
@@ -149,7 +132,7 @@ mod tests {
 
     #[test]
     fn empty_turnarounds() {
-        let s = PerformanceStats::from_turnarounds(&[]);
+        let s = PerformanceStats::from_accumulated(0, 0.0, 0.0);
         assert_eq!(s.completed, 0);
         assert_eq!(s.mean_turnaround_s, 0.0);
         assert_eq!(s.normalized_vs(&s), 1.0);
@@ -157,39 +140,11 @@ mod tests {
 
     #[test]
     fn normalization_direction() {
-        let base = PerformanceStats::from_turnarounds(&[1.0, 1.0]);
-        let slower = PerformanceStats::from_turnarounds(&[2.0, 2.0]);
+        let base = PerformanceStats::from_accumulated(2, 2.0, 1.0);
+        let slower = PerformanceStats::from_accumulated(2, 4.0, 2.0);
         assert!((slower.normalized_vs(&base) - 0.5).abs() < 1e-12);
         assert!((slower.delay_percent_vs(&base) - 100.0).abs() < 1e-12);
         assert!((base.normalized_vs(&base) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulated_fold_is_bit_identical_to_slice_form() {
-        let turnarounds = [0.5, 2.5, 1.0, 0.125, 7.25e-3];
-        let mut count = 0usize;
-        let mut total = 0.0f64;
-        let mut max = 0.0f64;
-        for &t in &turnarounds {
-            count += 1;
-            total += t;
-            max = max.max(t);
-        }
-        assert_eq!(
-            PerformanceStats::from_accumulated(count, total, max),
-            PerformanceStats::from_turnarounds(&turnarounds)
-        );
-        assert_eq!(
-            PerformanceStats::from_accumulated(0, 0.0, 0.0),
-            PerformanceStats::from_turnarounds(&[])
-        );
-    }
-
-    #[test]
-    fn max_and_total() {
-        let s = PerformanceStats::from_turnarounds(&[0.5, 2.5, 1.0]);
-        assert!((s.max_turnaround_s - 2.5).abs() < 1e-12);
-        assert!((s.total_turnaround_s - 4.0).abs() < 1e-12);
     }
 
     #[test]

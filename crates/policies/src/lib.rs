@@ -49,7 +49,7 @@ pub use hybrid::HybridPolicy;
 pub use lfsr::Lfsr16;
 pub use migration::Migration;
 pub use policy::{ControlDecision, CoreCommand, Observation, Policy, QueueHint};
-pub use queue::{CompletedJob, MultiQueue, ResidentJob, MIGRATION_COST_S};
+pub use queue::{MultiQueue, ResidentJob, MIGRATION_COST_S};
 pub use registry::{ParsePolicyError, PolicyKind};
 
 impl Policy for Box<dyn Policy> {

@@ -28,24 +28,9 @@ pub struct ResidentJob {
     pub stall_s: f64,
 }
 
-/// A completed job with its completion timestamp.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompletedJob {
-    /// The job that finished.
-    pub job: Job,
-    /// Completion time in simulation seconds.
-    pub completed_s: f64,
-}
-
-impl CompletedJob {
-    /// Turnaround time: completion − arrival.
-    #[must_use]
-    pub fn turnaround_s(&self) -> f64 {
-        self.completed_s - self.job.arrival_s
-    }
-}
-
-/// Per-core FIFO dispatch queues plus completion log.
+/// Per-core FIFO dispatch queues plus an online fold of completions
+/// (count, total and maximum turnaround): memory stays O(1) in the
+/// number of jobs executed.
 ///
 /// # Examples
 ///
@@ -59,16 +44,12 @@ impl CompletedJob {
 /// // Run core 0 at full speed for a 100 ms tick: the job finishes.
 /// let busy = mq.execute(CoreId(0), 0.1, 1.0, 0.1);
 /// assert!(busy > 0.0);
-/// assert_eq!(mq.completed().len(), 1);
+/// assert_eq!(mq.completed_count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MultiQueue {
     queues: Vec<VecDeque<ResidentJob>>,
-    completed: Vec<CompletedJob>,
     migrations: u64,
-    /// When set, completions update the turnaround fold only and never
-    /// reach the per-job log — O(1) memory over any simulated duration.
-    discard_completed: bool,
     completed_count: usize,
     turnaround_total_s: f64,
     turnaround_max_s: f64,
@@ -80,25 +61,11 @@ impl MultiQueue {
     pub fn new(n_cores: usize) -> Self {
         Self {
             queues: (0..n_cores).map(|_| VecDeque::new()).collect(),
-            completed: Vec::new(),
             migrations: 0,
-            discard_completed: false,
             completed_count: 0,
             turnaround_total_s: 0.0,
             turnaround_max_s: 0.0,
         }
-    }
-
-    /// Drops the per-job completion log: completions still feed the
-    /// online turnaround fold ([`completed_count`](Self::completed_count),
-    /// [`turnaround_total_s`](Self::turnaround_total_s),
-    /// [`turnaround_max_s`](Self::turnaround_max_s)) but
-    /// [`completed`](Self::completed) stays empty, so memory no longer
-    /// grows with the number of jobs executed.
-    #[must_use]
-    pub fn without_completion_log(mut self) -> Self {
-        self.discard_completed = true;
-        self
     }
 
     /// Number of cores.
@@ -159,10 +126,11 @@ impl MultiQueue {
 
     /// Executes `core` for `wall_dt` seconds of wall time at relative
     /// frequency `freq_scale` (0 models a stalled/gated core). Jobs that
-    /// finish are moved to the completion log with timestamps interpolated
-    /// within the tick starting at `tick_start_s`... the returned value is
-    /// the busy wall time in `[0, wall_dt]` (the core's utilization for
-    /// this tick is `busy / wall_dt`).
+    /// finish leave the queue and fold into the turnaround statistics,
+    /// with completion times interpolated within the tick starting at
+    /// `tick_start_s`. The returned value is the busy wall time in
+    /// `[0, wall_dt]` (the core's utilization for this tick is
+    /// `busy / wall_dt`).
     ///
     /// # Panics
     ///
@@ -201,16 +169,10 @@ impl MultiQueue {
             t += run;
             if front.remaining_s <= 1e-12 {
                 let done = q.pop_front().expect("front exists");
-                let record = CompletedJob { job: done.job, completed_s: tick_start_s + t };
-                // Fold in completion order: bit-identical to summing /
-                // max-folding the log after the fact.
+                let turnaround = (tick_start_s + t) - done.job.arrival_s;
                 self.completed_count += 1;
-                let turnaround = record.turnaround_s();
                 self.turnaround_total_s += turnaround;
                 self.turnaround_max_s = self.turnaround_max_s.max(turnaround);
-                if !self.discard_completed {
-                    self.completed.push(record);
-                }
             }
         }
         t.min(wall_dt)
@@ -244,20 +206,14 @@ impl MultiQueue {
         true
     }
 
-    /// All completed jobs so far (always empty under
-    /// [`without_completion_log`](Self::without_completion_log)).
-    #[must_use]
-    pub fn completed(&self) -> &[CompletedJob] {
-        &self.completed
-    }
-
-    /// Number of jobs completed, log or no log.
+    /// Number of jobs completed.
     #[must_use]
     pub fn completed_count(&self) -> usize {
         self.completed_count
     }
 
-    /// Sum of turnaround times over all completions, seconds.
+    /// Sum of turnaround times (completion − arrival) over all
+    /// completions, in completion order, seconds.
     #[must_use]
     pub fn turnaround_total_s(&self) -> f64 {
         self.turnaround_total_s
@@ -328,9 +284,10 @@ mod tests {
         mq.enqueue(CoreId(0), job(1, 0.03));
         let busy = mq.execute(CoreId(0), 0.1, 1.0, 0.0);
         assert!((busy - 0.08).abs() < 1e-9);
-        assert_eq!(mq.completed().len(), 2);
-        assert!((mq.completed()[0].completed_s - 0.05).abs() < 1e-9);
-        assert!((mq.completed()[1].completed_s - 0.08).abs() < 1e-9);
+        // Both arrived at 0: they finish at 0.05 and 0.08.
+        assert_eq!(mq.completed_count(), 2);
+        assert!((mq.turnaround_total_s() - 0.13).abs() < 1e-9);
+        assert!((mq.turnaround_max_s() - 0.08).abs() < 1e-9);
         assert_eq!(mq.in_flight(), 0);
     }
 
@@ -344,8 +301,8 @@ mod tests {
         mq.execute(CoreId(0), 0.1, 1.0, 0.1);
         let busy = mq.execute(CoreId(0), 0.1, 1.0, 0.2);
         assert!((busy - 0.05).abs() < 1e-9);
-        assert_eq!(mq.completed().len(), 1);
-        assert!((mq.completed()[0].completed_s - 0.25).abs() < 1e-9);
+        assert_eq!(mq.completed_count(), 1);
+        assert!((mq.turnaround_max_s() - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -355,7 +312,7 @@ mod tests {
         // At 85 % frequency, 0.085 s of work takes 0.1 s of wall time.
         let busy = mq.execute(CoreId(0), 0.1, 0.85, 0.0);
         assert!((busy - 0.1).abs() < 1e-9);
-        assert_eq!(mq.completed().len(), 1);
+        assert_eq!(mq.completed_count(), 1);
     }
 
     #[test]
@@ -364,7 +321,7 @@ mod tests {
         mq.enqueue(CoreId(0), job(0, 0.05));
         let busy = mq.execute(CoreId(0), 0.1, 0.0, 0.0);
         assert!((busy - 0.1).abs() < 1e-12, "stalled but occupied");
-        assert_eq!(mq.completed().len(), 0);
+        assert_eq!(mq.completed_count(), 0);
         assert!((mq.queued_work_s(CoreId(0)) - 0.05).abs() < 1e-12);
     }
 
@@ -385,7 +342,7 @@ mod tests {
         // The 1 ms stall delays completion: 0.05 work + 0.001 stall.
         let busy = mq.execute(CoreId(1), 0.1, 1.0, 0.0);
         assert!((busy - 0.051).abs() < 1e-9);
-        assert!((mq.completed()[0].completed_s - 0.051).abs() < 1e-9);
+        assert!((mq.turnaround_max_s() - 0.051).abs() < 1e-9);
     }
 
     #[test]
@@ -427,37 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn online_fold_matches_completion_log() {
-        let mut logged = MultiQueue::new(2);
-        let mut folded = MultiQueue::new(2).without_completion_log();
-        for mq in [&mut logged, &mut folded] {
-            mq.enqueue(CoreId(0), Job::new(0, 0.0, 0.05, 0.5, Benchmark::Gcc));
-            mq.enqueue(CoreId(0), Job::new(1, 0.02, 0.03, 0.5, Benchmark::Gcc));
-            mq.enqueue(CoreId(1), Job::new(2, 0.0, 0.25, 0.5, Benchmark::Gcc));
-            for tick in 0..3 {
-                let t0 = tick as f64 * 0.1;
-                mq.execute(CoreId(0), 0.1, 1.0, t0);
-                mq.execute(CoreId(1), 0.1, 1.0, t0);
-            }
-        }
-        assert_eq!(logged.completed().len(), 3);
-        assert!(folded.completed().is_empty(), "log suppressed");
-        let total: f64 = logged.completed().iter().map(CompletedJob::turnaround_s).sum();
-        let max = logged.completed().iter().map(CompletedJob::turnaround_s).fold(0.0, f64::max);
-        assert_eq!(folded.completed_count(), 3);
-        assert_eq!(folded.turnaround_total_s(), total, "bit-identical sum");
-        assert_eq!(folded.turnaround_max_s(), max, "bit-identical max");
-        // The logging queue folds too.
-        assert_eq!(logged.completed_count(), 3);
-        assert_eq!(logged.turnaround_total_s(), total);
-    }
-
-    #[test]
     fn turnaround_accounts_arrival() {
         let mut mq = MultiQueue::new(1);
         mq.enqueue(CoreId(0), Job::new(0, 1.0, 0.05, 0.5, Benchmark::Gcc));
         mq.execute(CoreId(0), 0.1, 1.0, 1.2);
-        let done = mq.completed()[0];
-        assert!((done.turnaround_s() - 0.25).abs() < 1e-9);
+        assert_eq!(mq.completed_count(), 1);
+        assert!((mq.turnaround_total_s() - 0.25).abs() < 1e-9);
     }
 }

@@ -160,12 +160,6 @@ impl PowerModel {
         Self { params, vf, sites, num_cores: core_counter }
     }
 
-    /// The V/f table in use.
-    #[must_use]
-    pub fn vf_table(&self) -> &VfTable {
-        &self.vf
-    }
-
     /// The static parameters in use.
     #[must_use]
     pub fn params(&self) -> &PowerParams {

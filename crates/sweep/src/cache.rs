@@ -591,7 +591,7 @@ mod tests {
             vertical_peak_c: 4.5,
             vertical_mean_c: 2.25,
             peak_temp_c: 91.125,
-            perf: PerformanceStats::from_turnarounds(&[0.5, 0.7, 1.9]),
+            perf: PerformanceStats::from_accumulated(3, 0.5 + 0.7 + 1.9, 1.9),
             energy_j: 1234.5678901234567,
             mean_power_w: 51.3,
             migrations: 42,

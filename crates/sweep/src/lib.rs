@@ -15,8 +15,9 @@
 //!    matrix of [`SweepCell`]s, each a pure function of the spec (seeds
 //!    derived per cell, never from scheduling order);
 //! 3. [`run`] — parallel execution across worker threads, one
-//!    `Simulator` per cell, each streaming its own job mix from the
-//!    generator (no trace is materialized or shared);
+//!    `Simulator` per cell, each fed by its own fresh job stream
+//!    ([`stream_mix`](therm3d_workload::stream_mix)) through
+//!    `Simulator::run_source`;
 //! 4. [`SweepReport`] — typed aggregation with CSV/JSON export and
 //!    paper-style text tables; results are bit-identical for any thread
 //!    count;

@@ -325,7 +325,7 @@ mod tests {
             vertical_peak_c: 4.0,
             vertical_mean_c: 2.0,
             peak_temp_c: 91.0,
-            perf: PerformanceStats::from_turnarounds(&[0.5, 0.7]),
+            perf: PerformanceStats::from_accumulated(2, 0.5 + 0.7, 0.7),
             energy_j: 500.0,
             mean_power_w: 50.0,
             migrations: 3,

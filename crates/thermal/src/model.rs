@@ -786,20 +786,6 @@ impl ThermalModel {
         }
     }
 
-    /// Temperature of a single block in °C.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is out of range.
-    #[must_use]
-    pub fn block_temperature_c(&self, site: usize) -> f64 {
-        if self.modes.active {
-            celsius_from_kelvin(self.network.ambient_k() + self.modes.rise[site])
-        } else {
-            celsius_from_kelvin(self.network.block_temperature(site, &self.temps_k))
-        }
-    }
-
     /// The eigenbasis while it holds the state.
     fn active_basis(&self) -> Option<&Eigenbasis> {
         self.implicit.basis.as_deref().filter(|_| self.modes.active)
@@ -851,12 +837,6 @@ impl ThermalModel {
         self.modes.origin_powers.fill(0.0);
         self.modes.origin_sink_w = sink_w;
         self.modes.active = false;
-    }
-
-    /// Total power currently injected, in W.
-    #[must_use]
-    pub fn total_power(&self) -> f64 {
-        self.block_power.iter().sum()
     }
 }
 
@@ -1327,7 +1307,6 @@ mod tests {
             for (site, t) in model.block_temperatures_c().into_iter().enumerate() {
                 let want = net.block_temperature(site, &self.temps_k);
                 worst = worst.max((kelvin(t) - want).abs());
-                worst = worst.max((kelvin(model.block_temperature_c(site)) - want).abs());
             }
             worst
         }
@@ -1440,13 +1419,5 @@ mod tests {
         rk4.step(0.1);
         assert!(rk4.implicit.basis.is_none() && rk4.implicit.steady.is_none());
         assert!(!rk4.modes.active);
-    }
-
-    #[test]
-    fn total_power_tracks_assignment() {
-        let (stack, mut model) = small_model(Experiment::Exp2);
-        let p = core_power_vector(&stack, 1.5);
-        model.set_block_powers(&p);
-        assert!((model.total_power() - 12.0).abs() < 1e-9);
     }
 }

@@ -15,18 +15,20 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::benchmark::Benchmark;
-use crate::job::JobTrace;
-use crate::source::{stream_mix, JobSource};
 
 /// Configuration for synthetic trace generation.
 ///
 /// # Examples
 ///
 /// ```
-/// use therm3d_workload::{Benchmark, TraceConfig};
+/// use therm3d_workload::{Benchmark, JobSource, TraceConfig};
 ///
-/// let trace = TraceConfig::new(Benchmark::WebMed, 8, 600.0).with_seed(7).generate();
-/// let offered = trace.offered_utilization(8, 600.0);
+/// let mut jobs = TraceConfig::new(Benchmark::WebMed, 8, 600.0).with_seed(7).stream();
+/// let mut work_s = 0.0;
+/// while let Some(job) = jobs.next_job() {
+///     work_s += job.work_s;
+/// }
+/// let offered = work_s / (600.0 * 8.0);
 /// assert!((offered - 0.5312).abs() < 0.12, "offered load tracks Table I: {offered}");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -90,18 +92,6 @@ impl TraceConfig {
         self
     }
 
-    /// Sets the mean job CPU demand in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_job_s` is not strictly positive.
-    #[must_use]
-    pub fn with_mean_job(mut self, mean_job_s: f64) -> Self {
-        assert!(mean_job_s > 0.0, "mean job size must be positive");
-        self.mean_job_s = mean_job_s;
-        self
-    }
-
     /// Sets the burstiness (arrival-rate modulation depth) in `[0, 1)`.
     ///
     /// # Panics
@@ -127,34 +117,6 @@ impl TraceConfig {
     pub fn stream(&self) -> crate::source::TraceStream {
         crate::source::TraceStream::new(self)
     }
-
-    /// Generates the job trace: every job of [`stream`](Self::stream),
-    /// materialized.
-    #[must_use]
-    pub fn generate(&self) -> JobTrace {
-        collect(self.stream())
-    }
-}
-
-/// Generates a trace interleaving several benchmarks with equal shares of
-/// the duration (a consolidated-server scenario for the examples): every
-/// job of [`stream_mix`], materialized.
-///
-/// # Panics
-///
-/// Panics if `benchmarks` is empty or the base config is invalid.
-#[must_use]
-pub fn generate_mix(
-    benchmarks: &[Benchmark],
-    n_cores: usize,
-    duration_s: f64,
-    seed: u64,
-) -> JobTrace {
-    collect(stream_mix(benchmarks, n_cores, duration_s, seed))
-}
-
-fn collect(mut source: impl JobSource) -> JobTrace {
-    JobTrace::new(std::iter::from_fn(|| source.next_job()).collect())
 }
 
 /// Inverse-transform sampler over a Zipf thread-popularity law.
@@ -243,18 +205,21 @@ pub(crate) fn sample_lognormal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Job;
+    use crate::source::{stream_mix, JobSource};
 
-    #[test]
-    fn deterministic_for_same_seed() {
-        let a = TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(1).generate();
-        let b = TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(1).generate();
-        assert_eq!(a, b);
+    fn drain(mut source: impl JobSource) -> Vec<Job> {
+        std::iter::from_fn(|| source.next_job()).collect()
+    }
+
+    fn total_work_s(cfg: &TraceConfig) -> f64 {
+        drain(cfg.stream()).iter().map(|j| j.work_s).sum()
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(1).generate();
-        let b = TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(2).generate();
+        let a = drain(TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(1).stream());
+        let b = drain(TraceConfig::new(Benchmark::WebMed, 8, 30.0).with_seed(2).stream());
         assert_ne!(a, b);
     }
 
@@ -263,8 +228,7 @@ mod tests {
         // Long trace so the law of large numbers applies.
         for b in [Benchmark::WebMed, Benchmark::WebHigh, Benchmark::Database, Benchmark::Gzip] {
             let cfg = TraceConfig::new(b, 8, 600.0).with_seed(11);
-            let trace = cfg.generate();
-            let offered = trace.offered_utilization(8, 600.0);
+            let offered = total_work_s(&cfg) / (600.0 * 8.0);
             let target = b.stats().avg_utilization;
             assert!(
                 (offered - target).abs() < 0.12 * target.max(0.1),
@@ -274,64 +238,46 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_within_duration() {
-        let trace = TraceConfig::new(Benchmark::WebHigh, 8, 20.0).generate();
-        for j in trace.jobs() {
-            assert!(j.arrival_s < 20.0);
-            assert!(j.work_s > 0.0);
-            assert!((0.0..=1.0).contains(&j.memory_intensity));
-        }
-    }
-
-    #[test]
     fn memory_intensity_tracks_benchmark() {
-        let heavy = TraceConfig::new(Benchmark::WebHigh, 8, 60.0).generate();
-        let light = TraceConfig::new(Benchmark::Gzip, 8, 60.0).generate();
-        let avg = |t: &JobTrace| {
-            t.jobs().iter().map(|j| j.memory_intensity).sum::<f64>() / t.len().max(1) as f64
+        let avg = |b: Benchmark| {
+            let jobs = drain(TraceConfig::new(b, 8, 60.0).stream());
+            jobs.iter().map(|j| j.memory_intensity).sum::<f64>() / jobs.len().max(1) as f64
         };
-        assert!(avg(&heavy) > avg(&light) + 0.3);
+        assert!(avg(Benchmark::WebHigh) > avg(Benchmark::Gzip) + 0.3);
     }
 
     #[test]
     fn sixteen_core_trace_scales_load() {
-        let t8 = TraceConfig::new(Benchmark::WebMed, 8, 300.0).generate();
-        let t16 = TraceConfig::new(Benchmark::WebMed, 16, 300.0).generate();
-        let w8 = t8.total_work_s();
-        let w16 = t16.total_work_s();
+        let w8 = total_work_s(&TraceConfig::new(Benchmark::WebMed, 8, 300.0));
+        let w16 = total_work_s(&TraceConfig::new(Benchmark::WebMed, 16, 300.0));
         assert!(w16 > 1.5 * w8, "16-core work {w16} should be ~2x 8-core {w8}");
     }
 
     #[test]
     fn mix_concatenates_time_slots() {
-        let mix = generate_mix(&[Benchmark::Gzip, Benchmark::WebHigh], 8, 40.0, 3);
+        let mix = drain(stream_mix(&[Benchmark::Gzip, Benchmark::WebHigh], 8, 40.0, 3));
         let early: Vec<_> =
-            mix.jobs().iter().filter(|j| j.arrival_s < 20.0).map(|j| j.benchmark).collect();
+            mix.iter().filter(|j| j.arrival_s < 20.0).map(|j| j.benchmark).collect();
         let late: Vec<_> =
-            mix.jobs().iter().filter(|j| j.arrival_s >= 20.0).map(|j| j.benchmark).collect();
+            mix.iter().filter(|j| j.arrival_s >= 20.0).map(|j| j.benchmark).collect();
         assert!(early.iter().all(|&b| b == Benchmark::Gzip));
         assert!(late.iter().all(|&b| b == Benchmark::WebHigh));
-        // Ids must be unique.
-        let mut ids: Vec<_> = mix.jobs().iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), mix.len());
     }
 
     #[test]
     fn thread_population_is_bounded_and_skewed() {
         let cfg = TraceConfig::new(Benchmark::WebHigh, 8, 120.0).with_seed(9);
-        let trace = cfg.generate();
+        let jobs = drain(cfg.stream());
         let n_threads = (8.0 * cfg.threads_per_core) as u64;
         let mut counts = std::collections::BTreeMap::new();
-        for j in trace.jobs() {
+        for j in &jobs {
             assert!(j.thread_id < n_threads, "thread {} out of range", j.thread_id);
             *counts.entry(j.thread_id).or_insert(0usize) += 1;
         }
         // Zipf skew: the most popular thread produces several times the
         // mean number of bursts.
         let max = counts.values().copied().max().unwrap();
-        let mean = trace.len() as f64 / counts.len() as f64;
+        let mean = jobs.len() as f64 / counts.len() as f64;
         assert!(max as f64 > 2.0 * mean, "max {max} vs mean {mean:.1}");
     }
 

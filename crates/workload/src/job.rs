@@ -1,4 +1,4 @@
-//! Jobs (schedulable threads) and arrival schedules.
+//! Jobs: the schedulable threads a trace delivers.
 
 use std::fmt;
 
@@ -71,160 +71,9 @@ impl fmt::Display for Job {
     }
 }
 
-/// An arrival-ordered job trace with cursor-based consumption.
-///
-/// # Examples
-///
-/// ```
-/// use therm3d_workload::{Benchmark, Job, JobTrace};
-///
-/// let trace = JobTrace::new(vec![
-///     Job::new(0, 0.05, 0.4, 0.5, Benchmark::WebMed),
-///     Job::new(1, 0.25, 0.2, 0.5, Benchmark::WebMed),
-/// ]);
-/// let mut cursor = trace.cursor();
-/// assert_eq!(cursor.take_until(0.1).len(), 1);
-/// assert_eq!(cursor.take_until(0.3).len(), 1);
-/// assert!(cursor.take_until(10.0).is_empty());
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobTrace {
-    jobs: Vec<Job>,
-}
-
-impl JobTrace {
-    /// Creates a trace, sorting jobs by arrival time.
-    #[must_use]
-    pub fn new(mut jobs: Vec<Job>) -> Self {
-        jobs.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
-        Self { jobs }
-    }
-
-    /// The jobs, arrival-ordered.
-    #[must_use]
-    pub fn jobs(&self) -> &[Job] {
-        &self.jobs
-    }
-
-    /// Number of jobs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` if the trace holds no jobs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Total CPU demand of the trace in seconds.
-    #[must_use]
-    pub fn total_work_s(&self) -> f64 {
-        self.jobs.iter().map(|j| j.work_s).sum()
-    }
-
-    /// Time of the last arrival, or 0 for an empty trace.
-    #[must_use]
-    pub fn span_s(&self) -> f64 {
-        self.jobs.last().map_or(0.0, |j| j.arrival_s)
-    }
-
-    /// Average offered utilization per core over `duration_s` for an
-    /// `n_cores` system: total work / (duration × cores).
-    #[must_use]
-    pub fn offered_utilization(&self, n_cores: usize, duration_s: f64) -> f64 {
-        if duration_s <= 0.0 || n_cores == 0 {
-            return 0.0;
-        }
-        self.total_work_s() / (duration_s * n_cores as f64)
-    }
-
-    /// A cursor for consuming arrivals in simulation-time order.
-    #[must_use]
-    pub fn cursor(&self) -> JobCursor<'_> {
-        JobCursor { trace: self, next: 0 }
-    }
-}
-
-/// Cursor over a [`JobTrace`], yielding jobs as simulated time advances.
-#[derive(Debug, Clone)]
-pub struct JobCursor<'a> {
-    trace: &'a JobTrace,
-    next: usize,
-}
-
-impl<'a> JobCursor<'a> {
-    /// Returns all jobs with `arrival_s <= now_s` not yet taken.
-    pub fn take_until(&mut self, now_s: f64) -> &'a [Job] {
-        let start = self.next;
-        while self.next < self.trace.jobs.len() && self.trace.jobs[self.next].arrival_s <= now_s {
-            self.next += 1;
-        }
-        &self.trace.jobs[start..self.next]
-    }
-
-    /// Jobs remaining beyond the cursor.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.trace.jobs.len() - self.next
-    }
-
-    /// The next job in arrival order, or `None` once the trace is
-    /// drained. This is the [`JobSource`](crate::source::JobSource) view
-    /// of the cursor, letting a materialized trace feed any consumer a
-    /// streaming generator can.
-    pub fn next_job(&mut self) -> Option<Job> {
-        let job = self.trace.jobs.get(self.next).copied();
-        if job.is_some() {
-            self.next += 1;
-        }
-        job
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn job(id: u64, at: f64) -> Job {
-        Job::new(id, at, 0.1, 0.5, Benchmark::Gcc)
-    }
-
-    #[test]
-    fn trace_sorts_by_arrival() {
-        let t = JobTrace::new(vec![job(0, 5.0), job(1, 1.0), job(2, 3.0)]);
-        let arrivals: Vec<f64> = t.jobs().iter().map(|j| j.arrival_s).collect();
-        assert_eq!(arrivals, vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn cursor_consumes_in_order() {
-        let t = JobTrace::new(vec![job(0, 0.1), job(1, 0.2), job(2, 0.9)]);
-        let mut c = t.cursor();
-        assert_eq!(c.take_until(0.2).len(), 2);
-        assert_eq!(c.remaining(), 1);
-        assert_eq!(c.take_until(0.5).len(), 0);
-        assert_eq!(c.take_until(1.0).len(), 1);
-        assert_eq!(c.remaining(), 0);
-    }
-
-    #[test]
-    fn offered_utilization_formula() {
-        let t = JobTrace::new(vec![job(0, 0.0), job(1, 1.0)]); // 0.2 s work total
-        let u = t.offered_utilization(2, 10.0);
-        assert!((u - 0.2 / 20.0).abs() < 1e-12);
-        assert_eq!(t.offered_utilization(0, 10.0), 0.0);
-    }
-
-    #[test]
-    fn totals() {
-        let t = JobTrace::new(vec![job(0, 0.5), job(1, 2.0)]);
-        assert!((t.total_work_s() - 0.2).abs() < 1e-12);
-        assert!((t.span_s() - 2.0).abs() < 1e-12);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
 
     #[test]
     #[should_panic(expected = "work must be positive")]

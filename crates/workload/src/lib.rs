@@ -7,16 +7,23 @@
 //! workloads measured on an UltraSPARC T1) and generates statistically
 //! matched synthetic job traces: modulated-Poisson arrivals with lognormal
 //! CPU demands whose offered load equals the benchmark's measured average
-//! utilization.
+//! utilization. A trace exists only as a lazy [`JobSource`] stream:
+//! the generator emits one arrival-ordered job per call and never holds
+//! the trace.
 //!
 //! # Quick start
 //!
 //! ```
-//! use therm3d_workload::{Benchmark, TraceConfig};
+//! use therm3d_workload::{Benchmark, JobSource, TraceConfig};
 //!
 //! // One minute of Web-med load for an 8-core system.
-//! let trace = TraceConfig::new(Benchmark::WebMed, 8, 60.0).generate();
-//! println!("{} jobs, {:.1} CPU-seconds", trace.len(), trace.total_work_s());
+//! let mut jobs = TraceConfig::new(Benchmark::WebMed, 8, 60.0).stream();
+//! let (mut n, mut work_s) = (0, 0.0);
+//! while let Some(job) = jobs.next_job() {
+//!     n += 1;
+//!     work_s += job.work_s;
+//! }
+//! println!("{n} jobs, {work_s:.1} CPU-seconds");
 //! ```
 
 // Stdout carries the reports: a library writes diagnostics to stderr.
@@ -28,6 +35,6 @@ pub mod job;
 pub mod source;
 
 pub use benchmark::{Benchmark, ParseBenchmarkError, WorkloadStats};
-pub use gen::{generate_mix, TraceConfig, ZipfSampler};
-pub use job::{Job, JobCursor, JobTrace};
+pub use gen::{TraceConfig, ZipfSampler};
+pub use job::Job;
 pub use source::{stream_mix, JobSource, MixStream, SourceCursor, TraceStream};

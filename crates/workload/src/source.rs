@@ -5,18 +5,16 @@
 //! the modulated-Poisson arrival walk that emits one job per call
 //! without ever holding the trace. [`MixStream`] chains one stream per
 //! benchmark slot, moving a single [`ZipfSampler`] between slots
-//! instead of rebuilding the CDF per slot.
-//! [`TraceConfig::generate`] and [`generate_mix`](crate::gen::generate_mix)
-//! are collects over these streams. A materialized
-//! [`JobTrace`](crate::job::JobTrace) joins in through its cursor, which
-//! implements the same [`JobSource`] trait.
+//! instead of rebuilding the CDF per slot. Jobs exist only in this
+//! form: a consumer that needs a count or a total folds over the
+//! stream, and one that replays the same jobs builds a fresh stream.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::benchmark::Benchmark;
 use crate::gen::{hash_benchmark, sample_exp, sample_lognormal, TraceConfig, ZipfSampler};
-use crate::job::{Job, JobCursor};
+use crate::job::Job;
 
 /// A source of arrival-ordered jobs.
 ///
@@ -29,38 +27,11 @@ pub trait JobSource {
     /// exhausted (sources stay exhausted: further calls keep returning
     /// `None`).
     fn next_job(&mut self) -> Option<Job>;
-
-    /// Number of jobs remaining, when the source knows it (materialized
-    /// traces do; lazy generators return `None`).
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
-impl<S: JobSource + ?Sized> JobSource for &mut S {
-    fn next_job(&mut self) -> Option<Job> {
-        (**self).next_job()
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        (**self).size_hint()
-    }
-}
-
-impl JobSource for JobCursor<'_> {
-    fn next_job(&mut self) -> Option<Job> {
-        JobCursor::next_job(self)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining())
-    }
-}
-
-/// One-job lookahead over a [`JobSource`], giving the engine the same
-/// "are there arrivals pending / hand me everything due by `now`"
-/// queries a [`JobCursor`] answered, without a
-/// materialized trace behind it.
+/// One-job lookahead over a [`JobSource`], answering the engine's two
+/// per-tick queries: are arrivals pending, and hand me everything due
+/// by `now`.
 #[derive(Debug, Clone)]
 pub struct SourceCursor<S> {
     source: S,
@@ -105,11 +76,6 @@ impl<S: JobSource> SourceCursor<S> {
         self.peeked.is_some()
     }
     // end-region
-
-    /// Unwraps the cursor back into its source.
-    pub fn into_inner(self) -> S {
-        self.source
-    }
 }
 
 /// The synthetic trace generator: the modulated-Poisson arrival walk
@@ -305,9 +271,7 @@ impl JobSource for MixStream {
     // end-region
 }
 
-/// A [`MixStream`] over `benchmarks` (see [`MixStream::new`]);
-/// [`generate_mix`](crate::gen::generate_mix) materializes the same
-/// jobs.
+/// A [`MixStream`] over `benchmarks` (see [`MixStream::new`]).
 ///
 /// # Panics
 ///
@@ -331,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_stays_exhausted() {
-        let cfg = TraceConfig::new(Benchmark::Gzip, 2, 5.0);
-        let mut s = cfg.stream();
-        while s.next_job().is_some() {}
-        assert!(s.next_job().is_none());
-        assert!(s.next_job().is_none());
-    }
-
-    #[test]
     fn single_benchmark_mix_is_the_plain_trace() {
         // A one-slot mix re-times by zero and re-numbers from zero, so
         // it yields the plain stream's jobs bit for bit.
@@ -360,39 +315,20 @@ mod tests {
     }
 
     #[test]
-    fn cursor_is_a_job_source() {
-        let trace = TraceConfig::new(Benchmark::WebMed, 4, 10.0).generate();
-        let mut cursor = trace.cursor();
-        assert_eq!(JobSource::size_hint(&cursor), Some(trace.len()));
-        assert_eq!(drain(&mut cursor), trace.jobs());
-        assert_eq!(JobSource::size_hint(&cursor), Some(0));
-    }
-
-    #[test]
     fn source_cursor_delivers_arrivals_in_tick_batches() {
         let cfg = TraceConfig::new(Benchmark::WebHigh, 8, 12.0).with_seed(4);
-        let trace = cfg.generate();
-        let mut materialized = trace.cursor();
-        let mut streamed = SourceCursor::new(cfg.stream());
-        let mut now = 0.0;
+        let jobs = drain(cfg.stream());
+        let mut cursor = SourceCursor::new(cfg.stream());
+        let (mut taken, mut now) = (0, 0.0);
         while now < 14.0 {
-            let batch = materialized.take_until(now);
-            let mut got = 0;
-            while let Some(job) = streamed.next_until(now) {
-                assert_eq!(job, batch[got]);
-                got += 1;
+            let due = jobs.iter().filter(|j| j.arrival_s <= now).count();
+            while let Some(job) = cursor.next_until(now) {
+                assert_eq!(job, jobs[taken]);
+                taken += 1;
             }
-            assert_eq!(got, batch.len(), "batch mismatch at t={now}");
+            assert_eq!(taken, due, "batch mismatch at t={now}");
             now += 0.1;
         }
-        assert!(!streamed.has_pending());
-    }
-
-    #[test]
-    fn arrivals_are_non_decreasing() {
-        let jobs = drain(stream_mix(&[Benchmark::Gcc, Benchmark::Gzip], 8, 30.0, 7));
-        for w in jobs.windows(2) {
-            assert!(w[1].arrival_s >= w[0].arrival_s);
-        }
+        assert!(!cursor.has_pending());
     }
 }

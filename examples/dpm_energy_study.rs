@@ -19,14 +19,14 @@ use therm3d::{RunResult, SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_repro::CycleHistogram;
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 const SIM_SECONDS: f64 = 120.0;
 
 fn run(experiment: Experiment, kind: PolicyKind, dpm: bool) -> (RunResult, CycleHistogram) {
     let stack = experiment.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace = generate_mix(
+    let jobs = stream_mix(
         &[Benchmark::MPlayer, Benchmark::MPlayerWeb],
         experiment.num_cores(),
         SIM_SECONDS,
@@ -35,7 +35,7 @@ fn run(experiment: Experiment, kind: PolicyKind, dpm: bool) -> (RunResult, Cycle
     let mut sim = Simulator::new(SimConfig::paper_default(experiment), policy);
     // 5 °C bins over a 5 s (50-tick) sliding window, as in Figure 6.
     let mut hist = CycleHistogram::new(5.0, 50, stack.num_cores());
-    let result = sim.run_with_observer(&trace, SIM_SECONDS, |s| hist.record(s));
+    let result = sim.run_source_with_observer(jobs, SIM_SECONDS, |s| hist.record(s));
     (result, hist)
 }
 

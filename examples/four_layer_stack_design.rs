@@ -16,7 +16,7 @@ use therm3d_floorplan::{Experiment, UnitKind};
 use therm3d_policies::PolicyKind;
 use therm3d_power::{CorePowerInput, PowerModel, PowerParams, VfTable};
 use therm3d_thermal::{ThermalConfig, ThermalModel};
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 const SIM_SECONDS: f64 = 60.0;
 
@@ -64,14 +64,14 @@ fn steady_layer_profile(experiment: Experiment) -> Vec<(usize, f64, usize)> {
 fn hotspot_pct(experiment: Experiment, kind: PolicyKind) -> f64 {
     let stack = experiment.stack();
     let policy = kind.build(&stack, 0xACE1);
-    let trace = generate_mix(
+    let jobs = stream_mix(
         &[Benchmark::WebHigh, Benchmark::WebMed, Benchmark::WebDb],
         experiment.num_cores(),
         SIM_SECONDS,
         2009,
     );
     let mut sim = Simulator::new(SimConfig::paper_default(experiment), policy);
-    sim.run(&trace, SIM_SECONDS).hotspot_pct
+    sim.run_source(jobs, SIM_SECONDS).hotspot_pct
 }
 
 fn main() {

@@ -3,7 +3,7 @@
 //!
 //! This is the smallest end-to-end use of the public API: build a stack
 //! (EXP-3, the 4-tier, 16-core system where 3D thermal stress is most
-//! visible), generate a Table I workload, run the OS default load
+//! visible), stream a Table I workload, run the OS default load
 //! balancer and the paper's Adapt3D+DVFS hybrid, and print the hot-spot
 //! / gradient / cycle metrics of Figures 3–6.
 //!
@@ -12,7 +12,7 @@
 use therm3d::{RunResult, SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
-use therm3d_workload::{Benchmark, TraceConfig};
+use therm3d_workload::{Benchmark, JobSource, TraceConfig};
 
 fn run(kind: PolicyKind, sim_seconds: f64) -> RunResult {
     let experiment = Experiment::Exp3;
@@ -20,18 +20,21 @@ fn run(kind: PolicyKind, sim_seconds: f64) -> RunResult {
 
     // Deterministic policy + workload: same seeds, same numbers.
     let policy = kind.build(&stack, 0xACE1);
-    let trace = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), sim_seconds)
-        .with_seed(42)
-        .generate();
+    let trace = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), sim_seconds).with_seed(42);
+    let (mut jobs, mut work_s) = (0, 0.0);
+    let mut stream = trace.stream();
+    while let Some(job) = stream.next_job() {
+        jobs += 1;
+        work_s += job.work_s;
+    }
     println!(
-        "  {} jobs over {:.0} s (offered load {:.0} %)",
-        trace.len(),
-        sim_seconds,
-        100.0 * trace.offered_utilization(stack.num_cores(), sim_seconds)
+        "  {jobs} jobs over {sim_seconds:.0} s (offered load {:.0} %)",
+        100.0 * (work_s / (sim_seconds * stack.num_cores() as f64))
     );
 
+    // A fresh stream replays the same jobs.
     let mut sim = Simulator::new(SimConfig::paper_default(experiment), policy);
-    sim.run(&trace, sim_seconds)
+    sim.run_source(trace.stream(), sim_seconds)
 }
 
 fn main() {

@@ -16,7 +16,7 @@ use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_reliability::{CoffinManson, ReliabilityReport};
 use therm3d_repro::TempHistory;
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 const SIM_SECONDS: f64 = 120.0;
 
@@ -24,10 +24,10 @@ fn assess(kind: PolicyKind, dpm: bool) -> (ReliabilityReport, f64) {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), SIM_SECONDS, 2009);
+    let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), SIM_SECONDS, 2009);
     let mut sim = Simulator::new(SimConfig::paper_default(exp), policy);
     let mut history = TempHistory::new(stack.num_cores());
-    sim.run_with_observer(&trace, SIM_SECONDS, |s| history.record(s));
+    sim.run_source_with_observer(jobs, SIM_SECONDS, |s| history.record(s));
 
     // Worst core = reliability-limiting component. Assess every core and
     // keep the one with the highest electromigration acceleration.

@@ -17,23 +17,23 @@ use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_repro::textplot::downsample;
 use therm3d_repro::{bar, sparkline, TempHistory};
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark, MixStream};
 
 const SIM_SECONDS: f64 = 90.0;
 
 /// The consolidation mix: one busy web tier plus the mixed web/database
 /// benchmark of Table I.
-fn consolidation_trace(experiment: Experiment) -> therm3d_workload::JobTrace {
-    generate_mix(&[Benchmark::WebHigh, Benchmark::WebDb], experiment.num_cores(), SIM_SECONDS, 7)
+fn consolidation_jobs(experiment: Experiment) -> MixStream {
+    stream_mix(&[Benchmark::WebHigh, Benchmark::WebDb], experiment.num_cores(), SIM_SECONDS, 7)
 }
 
 fn run(experiment: Experiment, kind: PolicyKind) -> (RunResult, TempHistory) {
     let stack = experiment.stack();
     let policy = kind.build(&stack, 0xACE1);
-    let trace = consolidation_trace(experiment);
+    let jobs = consolidation_jobs(experiment);
     let mut sim = Simulator::new(SimConfig::paper_default(experiment), policy);
     let mut history = TempHistory::new(stack.num_cores());
-    let result = sim.run_with_observer(&trace, SIM_SECONDS, |s| history.record(s));
+    let result = sim.run_source_with_observer(jobs, SIM_SECONDS, |s| history.record(s));
     (result, history)
 }
 

@@ -48,10 +48,9 @@ pub fn quick_run(
 ) -> RunResult {
     let stack = experiment.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace =
-        TraceConfig::new(benchmark, stack.num_cores(), sim_seconds).with_seed(2009).generate();
+    let jobs = TraceConfig::new(benchmark, stack.num_cores(), sim_seconds).with_seed(2009).stream();
     let mut sim = Simulator::new(SimConfig::fast(experiment), policy);
-    sim.run(&trace, sim_seconds)
+    sim.run_source(jobs, sim_seconds)
 }
 
 /// Runs one cell while recording the per-tick temperature history.
@@ -65,11 +64,10 @@ pub fn quick_run_recorded(
 ) -> (RunResult, TempHistory) {
     let stack = experiment.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace =
-        TraceConfig::new(benchmark, stack.num_cores(), sim_seconds).with_seed(2009).generate();
+    let jobs = TraceConfig::new(benchmark, stack.num_cores(), sim_seconds).with_seed(2009).stream();
     let mut sim = Simulator::new(SimConfig::fast(experiment), policy);
     let mut history = TempHistory::new(stack.num_cores());
-    let result = sim.run_with_observer(&trace, sim_seconds, |s| history.record(s));
+    let result = sim.run_source_with_observer(jobs, sim_seconds, |s| history.record(s));
     (result, history)
 }
 

@@ -1,10 +1,10 @@
-//! Per-tick recording of simulator state: temperature histories, power
-//! traces and thermal-cycle histograms, built on the
-//! [`therm3d::TickSample`] observer hook.
+//! Per-tick recording of simulator state: temperature histories and
+//! thermal-cycle histograms, built on the [`therm3d::TickSample`]
+//! observer hook.
 
 use therm3d::TickSample;
 
-/// A per-core temperature (and chip power) history sampled every tick.
+/// A per-core temperature history sampled every tick.
 ///
 /// # Examples
 ///
@@ -24,14 +24,13 @@ pub struct TempHistory {
     times_s: Vec<f64>,
     /// Row-major `[sample][core]` temperatures, °C.
     temps_c: Vec<f64>,
-    power_w: Vec<f64>,
 }
 
 impl TempHistory {
     /// An empty history for `n_cores` cores.
     #[must_use]
     pub fn new(n_cores: usize) -> Self {
-        Self { n_cores, times_s: Vec::new(), temps_c: Vec::new(), power_w: Vec::new() }
+        Self { n_cores, times_s: Vec::new(), temps_c: Vec::new() }
     }
 
     /// Appends one tick sample.
@@ -43,7 +42,6 @@ impl TempHistory {
         assert_eq!(sample.core_temps_c.len(), self.n_cores, "core count mismatch");
         self.times_s.push(sample.now_s);
         self.temps_c.extend_from_slice(sample.core_temps_c);
-        self.power_w.push(sample.chip_power_w);
     }
 
     /// Number of recorded samples.
@@ -91,12 +89,6 @@ impl TempHistory {
         (0..self.len()).map(|i| self.sample(i)[core]).collect()
     }
 
-    /// Chip power series, W.
-    #[must_use]
-    pub fn power_series_w(&self) -> &[f64] {
-        &self.power_w
-    }
-
     /// The series of the hottest core temperature at each sample, °C.
     #[must_use]
     pub fn max_series(&self) -> Vec<f64> {
@@ -116,38 +108,6 @@ impl TempHistory {
     pub fn mean_c(&self) -> f64 {
         let n = self.temps_c.len();
         self.temps_c.iter().sum::<f64>() / n as f64
-    }
-
-    /// Largest core-to-core spread within a single sample, °C.
-    #[must_use]
-    pub fn peak_spread_c(&self) -> f64 {
-        (0..self.len())
-            .map(|i| {
-                let s = self.sample(i);
-                let hi = s.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                let lo = s.iter().copied().fold(f64::INFINITY, f64::min);
-                hi - lo
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Serializes the history as CSV (`time_s,core0,...,coreN,power_w`).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("time_s");
-        for c in 0..self.n_cores {
-            let _ = write!(out, ",core{c}");
-        }
-        out.push_str(",power_w\n");
-        for i in 0..self.len() {
-            let _ = write!(out, "{:.3}", self.times_s[i]);
-            for &t in self.sample(i) {
-                let _ = write!(out, ",{t:.3}");
-            }
-            let _ = writeln!(out, ",{:.3}", self.power_w[i]);
-        }
-        out
     }
 }
 
@@ -267,18 +227,6 @@ mod tests {
         assert_eq!(h.core_series(1), vec![60.0, 70.0]);
         assert_eq!(h.max_series(), vec![60.0, 70.0]);
         assert!((h.mean_c() - 58.75).abs() < 1e-12);
-        assert_eq!(h.peak_spread_c(), 15.0);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut h = TempHistory::new(1);
-        h.record(&sample(0.0, &[42.0], &[0], &[1.0]));
-        let csv = h.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_s,core0,power_w"));
-        assert_eq!(lines.next(), Some("0.000,42.000,10.000"));
-        assert_eq!(lines.next(), None);
     }
 
     #[test]
@@ -306,6 +254,5 @@ mod tests {
         let h = TempHistory::new(4);
         assert!(h.is_empty());
         assert_eq!(h.len(), 0);
-        assert_eq!(h.power_series_w().len(), 0);
     }
 }

@@ -8,15 +8,15 @@
 use therm3d::{RunResult, SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 const SECS: f64 = 60.0;
 
 fn cell(exp: Experiment, kind: PolicyKind, dpm: bool) -> RunResult {
     let stack = exp.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), SECS, 2009);
-    Simulator::new(SimConfig::fast(exp), policy).run(&trace, SECS)
+    let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), SECS, 2009);
+    Simulator::new(SimConfig::fast(exp), policy).run_source(jobs, SECS)
 }
 
 #[test]
@@ -112,8 +112,8 @@ fn fig5_adaptive_scheduling_tames_spatial_gradients() {
     let paper_cell = |kind: PolicyKind| {
         let stack = exp.stack();
         let policy = kind.build_with_dpm(&stack, 0xACE1, true);
-        let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), 160.0, 2009);
-        Simulator::new(SimConfig::paper_default(exp), policy).run(&trace, 160.0)
+        let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), 160.0, 2009);
+        Simulator::new(SimConfig::paper_default(exp), policy).run_source(jobs, 160.0)
     };
     let base = paper_cell(PolicyKind::Default);
     let adapt = paper_cell(PolicyKind::Adapt3d);
@@ -185,11 +185,11 @@ fn all_eleven_policies_complete_the_figure_workload() {
     // (experiment, policy, dpm) cell must finish its jobs.
     for exp in Experiment::ALL {
         let stack = exp.stack();
-        let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), 12.0, 2009);
         for kind in PolicyKind::ALL {
             for dpm in [false, true] {
                 let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-                let r = Simulator::new(SimConfig::fast(exp), policy).run(&trace, 12.0);
+                let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), 12.0, 2009);
+                let r = Simulator::new(SimConfig::fast(exp), policy).run_source(jobs, 12.0);
                 assert!(r.perf.completed > 0, "{exp}/{kind}/dpm={dpm}");
                 assert_eq!(r.unfinished, 0, "{exp}/{kind}/dpm={dpm} left jobs");
                 assert!(r.hotspot_pct.is_finite() && (0.0..=100.0).contains(&r.hotspot_pct));

@@ -275,10 +275,9 @@ fn vertical_gradients_stay_within_a_few_degrees() {
 
     let exp = Experiment::Exp3;
     let stack = exp.stack();
-    let trace =
-        TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 20.0).with_seed(7).generate();
+    let jobs = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 20.0).with_seed(7).stream();
     let policy = PolicyKind::Default.build(&stack, 1);
-    let r = Simulator::new(SimConfig::paper_default(exp), policy).run(&trace, 20.0);
+    let r = Simulator::new(SimConfig::paper_default(exp), policy).run_source(jobs, 20.0);
     assert!(r.vertical_peak_c > 0.0, "vertically adjacent blocks cannot be isothermal");
     assert!(
         r.vertical_peak_c < 10.0,

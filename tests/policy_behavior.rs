@@ -5,7 +5,7 @@
 use therm3d::{SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
-use therm3d_workload::{generate_mix, Benchmark, TraceConfig};
+use therm3d_workload::{stream_mix, Benchmark, JobSource, TraceConfig};
 
 /// Runs `kind` on EXP-3 (the thermally stressed system) under a heavy
 /// web workload for `secs`, fast grid, fixed seeds.
@@ -13,9 +13,8 @@ fn run_exp3(kind: PolicyKind, secs: f64, dpm: bool) -> therm3d::RunResult {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace =
-        TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), secs).with_seed(7).generate();
-    Simulator::new(SimConfig::fast(exp), policy).run(&trace, secs)
+    let jobs = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), secs).with_seed(7).stream();
+    Simulator::new(SimConfig::fast(exp), policy).run_source(jobs, secs)
 }
 
 #[test]
@@ -107,10 +106,10 @@ fn dpm_saves_energy_on_light_load() {
     let exp = Experiment::Exp2;
     let stack = exp.stack();
     let secs = 30.0;
-    let trace = generate_mix(&[Benchmark::MPlayer, Benchmark::Gzip], 8, secs, 3);
     let run = |dpm| {
         let policy = PolicyKind::Default.build_with_dpm(&stack, 1, dpm);
-        Simulator::new(SimConfig::fast(exp), policy).run(&trace, secs)
+        let jobs = stream_mix(&[Benchmark::MPlayer, Benchmark::Gzip], 8, secs, 3);
+        Simulator::new(SimConfig::fast(exp), policy).run_source(jobs, secs)
     };
     let base = run(false);
     let dpm = run(true);
@@ -140,13 +139,13 @@ fn adapt3d_steers_load_toward_the_sink_side_layer() {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let secs = 40.0;
-    let trace = generate_mix(&[Benchmark::WebMed, Benchmark::WebDb], 16, secs, 11);
     let layer_util = |kind: PolicyKind| {
         let policy = kind.build(&stack, 0xACE1);
         let mut sums = vec![0.0f64; stack.num_cores()];
         let mut ticks = 0u64;
         let mut sim = Simulator::new(SimConfig::fast(exp), policy);
-        sim.run_with_observer(&trace, secs, |s| {
+        let jobs = stream_mix(&[Benchmark::WebMed, Benchmark::WebDb], 16, secs, 11);
+        sim.run_source_with_observer(jobs, secs, |s| {
             for (a, &u) in sums.iter_mut().zip(s.utilization) {
                 *a += u;
             }
@@ -191,12 +190,12 @@ fn policy_seed_changes_adaptive_trajectories() {
     let exp = Experiment::Exp1;
     let stack = exp.stack();
     let secs = 10.0;
-    let trace = TraceConfig::new(Benchmark::WebMed, 8, secs).with_seed(5).generate();
+    let trace = TraceConfig::new(Benchmark::WebMed, 8, secs).with_seed(5);
     let run = |seed: u16| {
         let policy = PolicyKind::Adapt3d.build(&stack, seed);
         let mut placements = Vec::new();
         let mut sim = Simulator::new(SimConfig::fast(exp), policy);
-        sim.run_with_observer(&trace, secs, |s| {
+        sim.run_source_with_observer(trace.stream(), secs, |s| {
             placements.push(s.utilization.to_vec());
         });
         placements
@@ -211,11 +210,11 @@ fn dvfs_flp_derates_hot_prone_cores_statically() {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let secs = 10.0;
-    let trace = TraceConfig::new(Benchmark::WebMed, 16, secs).with_seed(5).generate();
+    let jobs = TraceConfig::new(Benchmark::WebMed, 16, secs).with_seed(5).stream();
     let policy = PolicyKind::DvfsFlp.build(&stack, 1);
     let mut worst = vec![0usize; stack.num_cores()];
     let mut sim = Simulator::new(SimConfig::fast(exp), policy);
-    sim.run_with_observer(&trace, secs, |s| {
+    sim.run_source_with_observer(jobs, secs, |s| {
         for (w, &v) in worst.iter_mut().zip(s.vf_index) {
             *w = (*w).max(v);
         }
@@ -239,17 +238,17 @@ fn sleeping_cores_wake_for_work() {
     let exp = Experiment::Exp1;
     let stack = exp.stack();
     let secs = 20.0;
-    let trace =
-        TraceConfig::new(Benchmark::Gzip, 8, secs).with_seed(13).with_burstiness(0.8).generate();
+    let trace = TraceConfig::new(Benchmark::Gzip, 8, secs).with_seed(13).with_burstiness(0.8);
     let policy = PolicyKind::Default.build_with_dpm(&stack, 1, true);
     let mut slept = false;
     let mut sim = Simulator::new(SimConfig::fast(exp), policy);
-    let r = sim.run_with_observer(&trace, secs, |s| {
+    let r = sim.run_source_with_observer(trace.stream(), secs, |s| {
         slept |= s.asleep.iter().any(|&a| a);
     });
     assert!(slept, "the 9 %-utilization benchmark must trigger sleep");
     assert_eq!(r.unfinished, 0);
-    assert_eq!(r.perf.completed, trace.len());
+    let mut jobs = trace.stream();
+    assert_eq!(r.perf.completed, std::iter::from_fn(|| jobs.next_job()).count());
 }
 
 #[test]

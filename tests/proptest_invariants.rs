@@ -12,7 +12,7 @@ use therm3d_policies::{Lfsr16, MultiQueue};
 use therm3d_thermal::sparse::factor::factor;
 use therm3d_thermal::sparse::TripletMatrix;
 use therm3d_thermal::{ThermalConfig, ThermalModel};
-use therm3d_workload::{Benchmark, Job, TraceConfig};
+use therm3d_workload::{Benchmark, Job, JobSource, TraceConfig};
 
 fn any_benchmark() -> impl Strategy<Value = Benchmark> {
     prop::sample::select(Benchmark::ALL.to_vec())
@@ -28,12 +28,12 @@ proptest! {
         n_cores in 1usize..32,
         duration in 5.0f64..60.0,
     ) {
-        let trace = TraceConfig::new(bench, n_cores, duration).with_seed(seed).generate();
-        let jobs = trace.jobs();
+        let mut stream = TraceConfig::new(bench, n_cores, duration).with_seed(seed).stream();
+        let jobs: Vec<Job> = std::iter::from_fn(|| stream.next_job()).collect();
         for w in jobs.windows(2) {
             prop_assert!(w[0].arrival_s <= w[1].arrival_s, "arrivals must be sorted");
         }
-        for j in jobs {
+        for j in &jobs {
             prop_assert!(j.arrival_s >= 0.0 && j.arrival_s < duration);
             prop_assert!(j.work_s > 0.0 && j.work_s <= 30.0);
             prop_assert!((0.0..=1.0).contains(&j.memory_intensity));
@@ -49,8 +49,12 @@ proptest! {
         // (modulo lognormal sampling noise).
         let n_cores = 8;
         let duration = 600.0;
-        let trace = TraceConfig::new(bench, n_cores, duration).with_seed(seed).generate();
-        let offered = trace.offered_utilization(n_cores, duration);
+        let mut jobs = TraceConfig::new(bench, n_cores, duration).with_seed(seed).stream();
+        let mut work_s = 0.0;
+        while let Some(job) = jobs.next_job() {
+            work_s += job.work_s;
+        }
+        let offered = work_s / (duration * n_cores as f64);
         let target = bench.stats().avg_utilization;
         prop_assert!(
             offered > target * 0.55 && offered < target * 1.6,
@@ -86,7 +90,7 @@ proptest! {
                 }
             }
             let in_flight = q.in_flight() as u64;
-            let done = q.completed().len() as u64;
+            let done = q.completed_count() as u64;
             prop_assert_eq!(in_flight + done, enqueued, "op {}", i);
         }
     }
@@ -110,7 +114,7 @@ proptest! {
             }
         }
         prop_assert_eq!(q.in_flight(), 0, "bounded work must drain");
-        prop_assert_eq!(q.completed().len(), jobs.len());
+        prop_assert_eq!(q.completed_count(), jobs.len());
     }
 
     #[test]

@@ -6,16 +6,16 @@ use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_reliability::{CoffinManson, ReliabilityReport};
 use therm3d_repro::TempHistory;
-use therm3d_workload::{generate_mix, Benchmark};
+use therm3d_workload::{stream_mix, Benchmark};
 
 fn history(kind: PolicyKind, dpm: bool, secs: f64) -> TempHistory {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let policy = kind.build_with_dpm(&stack, 0xACE1, dpm);
-    let trace = generate_mix(&Benchmark::ALL, exp.num_cores(), secs, 2009);
+    let jobs = stream_mix(&Benchmark::ALL, exp.num_cores(), secs, 2009);
     let mut sim = Simulator::new(SimConfig::fast(exp), policy);
     let mut h = TempHistory::new(stack.num_cores());
-    sim.run_with_observer(&trace, secs, |s| h.record(s));
+    sim.run_source_with_observer(jobs, secs, |s| h.record(s));
     h
 }
 
@@ -62,10 +62,10 @@ fn hotter_stacks_age_faster() {
     let exp2 = {
         let stack = Experiment::Exp2.stack();
         let policy = PolicyKind::Default.build(&stack, 0xACE1);
-        let trace = generate_mix(&Benchmark::ALL, 8, 30.0, 2009);
+        let jobs = stream_mix(&Benchmark::ALL, 8, 30.0, 2009);
         let mut sim = Simulator::new(SimConfig::fast(Experiment::Exp2), policy);
         let mut h = TempHistory::new(8);
-        sim.run_with_observer(&trace, 30.0, |s| h.record(s));
+        sim.run_source_with_observer(jobs, 30.0, |s| h.record(s));
         worst_core_report(&h)
     };
     let exp3 = worst_core_report(&history(PolicyKind::Default, false, 30.0));

@@ -10,11 +10,10 @@ fn run_with_sensor(profile: SensorProfile, secs: f64) -> therm3d::RunResult {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let policy = PolicyKind::DvfsTt.build(&stack, 0xACE1);
-    let trace =
-        TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), secs).with_seed(7).generate();
+    let jobs = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), secs).with_seed(7).stream();
     let cfg = SimConfig::fast(exp)
         .with_scenario(ScenarioConfig::paper_default().with_sensor(profile).with_sensor_seed(99));
-    Simulator::new(cfg, policy).run(&trace, secs)
+    Simulator::new(cfg, policy).run_source(jobs, secs)
 }
 
 #[test]
@@ -23,9 +22,8 @@ fn ideal_sensor_matches_default_config() {
     let exp = Experiment::Exp3;
     let stack = exp.stack();
     let policy = PolicyKind::DvfsTt.build(&stack, 0xACE1);
-    let trace =
-        TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 10.0).with_seed(7).generate();
-    let default = Simulator::new(SimConfig::fast(exp), policy).run(&trace, 10.0);
+    let jobs = TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 10.0).with_seed(7).stream();
+    let default = Simulator::new(SimConfig::fast(exp), policy).run_source(jobs, 10.0);
     assert_eq!(explicit, default, "the default sensor is ideal");
 }
 
@@ -43,14 +41,14 @@ fn noisy_sensor_changes_behaviour_but_stays_deterministic() {
         let exp = Experiment::Exp3;
         let stack = exp.stack();
         let policy = PolicyKind::DvfsTt.build(&stack, 0xACE1);
-        let trace =
-            TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 15.0).with_seed(7).generate();
+        let jobs =
+            TraceConfig::new(Benchmark::WebHigh, stack.num_cores(), 15.0).with_seed(7).stream();
         let cfg = SimConfig::fast(exp).with_scenario(
             ScenarioConfig::paper_default()
                 .with_sensor(SensorProfile::NoisyQuantized)
                 .with_sensor_seed(100),
         );
-        Simulator::new(cfg, policy).run(&trace, 15.0)
+        Simulator::new(cfg, policy).run_source(jobs, 15.0)
     };
     assert_ne!(a, reseeded, "the sensor seed feeds the noise stream");
     // Metrics use true temperatures, so results stay physically sane.
@@ -86,10 +84,10 @@ fn cli_run_matches_library_run() {
     let exp = Experiment::Exp1;
     let stack = exp.stack();
     let policy = PolicyKind::Default.build(&stack, 0xACE1);
-    let trace = TraceConfig::new(Benchmark::Gzip, 8, 5.0).with_seed(2009).generate();
+    let jobs = TraceConfig::new(Benchmark::Gzip, 8, 5.0).with_seed(2009).stream();
     let mut cfg = SimConfig::paper_default(exp);
     cfg.thermal = cfg.thermal.with_grid(4, 4);
-    let r = Simulator::new(cfg, policy).run(&trace, 5.0);
+    let r = Simulator::new(cfg, policy).run_source(jobs, 5.0);
     let expected_prefix = format!("Default,EXP-1,false,{:.4}", r.hotspot_pct);
     assert!(row.starts_with(&expected_prefix), "row `{row}` vs `{expected_prefix}`");
 }
