@@ -36,10 +36,11 @@ assert "thermal.factor_numeric_us" in snap["histograms"]
 # Run-level solver totals are share-deduplicated: the 16-cell
 # scenario matrix resolves to 4 thermal models (2 stack orders
 # x 2 TSV variants; sensors and policies never change the RC
-# network), each analyzed exactly once, and adopted factors +
-# computed factors account for every cell's ensured pair.
+# network), each built and analyzed exactly once, and adopted
+# factors + computed factors account for every cell's ensured pair.
 c = snap["counters"]
 assert c["sweep.thermal_models"] == 4, c
+assert c["thermal.network_builds"] == 4, c
 assert c["thermal.symbolic_analyses"] == 4, c
 per_cell = sum(cell["counters"]["factor_numeric"] for cell in snap["cells"])
 assert c["sweep.factor_share_hits"] + c["thermal.factor_numeric"] == per_cell, c

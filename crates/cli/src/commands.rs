@@ -190,8 +190,9 @@ fn check_spec(path: &str, cache_dir: Option<&str>) -> Result<String, String> {
         spec.sim_seconds, spec.grid.0, spec.grid.1, spec.policy_seed
     );
     // Cells that agree on the RC network and integrator share one
-    // symbolic analysis and one factor set at run time, so the distinct
-    // count is the campaign's real solver-setup cost.
+    // stack, one network, one symbolic analysis and one factor set at
+    // run time, so the distinct count is the campaign's real model
+    // set-up cost.
     let models = cells
         .iter()
         .map(|cell| therm3d_sweep::model_fingerprint(&spec, cell))
@@ -200,7 +201,7 @@ fn check_spec(path: &str, cache_dir: Option<&str>) -> Result<String, String> {
     let _ = writeln!(
         out,
         "  thermal models: {models} distinct across {total} cell(s) \
-         (each analyzed and factored once per run)"
+         (each built, analyzed and factored once per run)"
     );
     // What `therm3d serve` would lease out, so a campaign can be sized
     // before any worker connects.

@@ -123,6 +123,21 @@ impl SimConfig {
         self
     }
 
+    /// The thermal configuration the engine builds its RC network from:
+    /// `thermal` with the scenario's TSV variant as the interlayer,
+    /// unless `thermal.interlayer` was explicitly overridden. A custom
+    /// material combined with a non-default TSV variant fails
+    /// [`validate`](Self::validate), so the two sources never silently
+    /// fight.
+    #[must_use]
+    pub fn resolved_thermal(&self) -> ThermalConfig {
+        if self.thermal.interlayer == ThermalConfig::paper_default().interlayer {
+            self.thermal.clone().with_tsv(self.scenario.tsv)
+        } else {
+            self.thermal.clone()
+        }
+    }
+
     /// Validates cross-field consistency.
     ///
     /// # Panics

@@ -2,7 +2,7 @@
 //! (with leakage feedback) → thermal → sensors → policy, at the paper's
 //! 100 ms sampling interval (Section IV-D).
 
-use therm3d_floorplan::{CoreId, Stack3d};
+use therm3d_floorplan::CoreId;
 use therm3d_metrics::{
     max_layer_gradient, max_vertical_gradient, EnergyMeter, HotSpotTracker, PerformanceStats,
     SpatialGradientTracker, ThermalCycleTracker, VerticalGradientTracker,
@@ -18,8 +18,8 @@ use crate::result::RunResult;
 
 /// The integrated 3D-DTM simulator.
 ///
-/// Owns the die stack, thermal and power models, the multi-queue
-/// scheduler and the policy under evaluation;
+/// Owns the thermal and power models, the multi-queue scheduler and
+/// the policy under evaluation;
 /// [`run_source`](Self::run_source) drives them tick by tick over a
 /// stream of jobs and aggregates the paper's metrics.
 ///
@@ -41,7 +41,6 @@ use crate::result::RunResult;
 /// ```
 pub struct Simulator {
     config: SimConfig,
-    stack: Stack3d,
     thermal: ThermalModel,
     power: PowerModel,
     queues: MultiQueue,
@@ -76,15 +75,19 @@ impl Simulator {
         Self::with_factor_share(config, policy, None)
     }
 
-    /// Like [`new`](Self::new), but attaches a [`FactorShare`] to the
-    /// thermal model before any factorization happens, so cells of a
-    /// sweep that resolve to the same thermal model reuse one symbolic
-    /// analysis and one factor set. Results are bit-identical with or
-    /// without a share; only the redundant work disappears.
+    /// Like [`new`](Self::new), but takes the die stack, the RC network
+    /// and every solver product from `share` ([`FactorShare::model`],
+    /// [`ThermalModel::from_share`]), so cells of a sweep that resolve
+    /// to the same thermal model build one stack and one network and
+    /// reuse one symbolic analysis and one factor set. Results are
+    /// bit-identical with or without a share; only the redundant work
+    /// disappears. `None` gives the simulator a share of its own.
     ///
     /// # Panics
     ///
-    /// Panics if `config` is inconsistent (see [`SimConfig::validate`]).
+    /// Panics if `config` is inconsistent (see [`SimConfig::validate`]),
+    /// or if `share` holds the model of another experiment, stack order
+    /// or thermal configuration.
     #[must_use]
     pub fn with_factor_share(
         config: SimConfig,
@@ -92,22 +95,11 @@ impl Simulator {
         share: Option<FactorShare>,
     ) -> Self {
         config.validate();
-        let stack = config.experiment.stack_with_order(config.scenario.stack_order);
-        // The scenario owns the interlayer unless the caller explicitly
-        // overrode `thermal.interlayer`; a custom material combined with
-        // a non-default TSV variant is rejected by `validate` above, so
-        // the two sources can never silently fight.
-        let thermal_cfg = if config.thermal.interlayer
-            == therm3d_thermal::ThermalConfig::paper_default().interlayer
-        {
-            config.thermal.clone().with_tsv(config.scenario.tsv)
-        } else {
-            config.thermal.clone()
-        };
-        let mut thermal = ThermalModel::new(&stack, thermal_cfg);
-        if let Some(share) = share {
-            thermal.set_factor_share(share);
-        }
+        let share = share.unwrap_or_default();
+        let (experiment, order) = (config.experiment, config.scenario.stack_order);
+        let thermal_cfg = config.resolved_thermal();
+        let (stack, _) = share.model(experiment, order, &thermal_cfg);
+        let mut thermal = ThermalModel::from_share(share, experiment, order, &thermal_cfg);
         let power = PowerModel::new(&stack, config.power.clone(), config.vf.clone());
         let n_cores = stack.num_cores();
         let core_sites: Vec<usize> = stack.core_ids().map(|c| stack.core_block_index(c)).collect();
@@ -124,17 +116,14 @@ impl Simulator {
         }
 
         Self {
-            // Per-job completion records are never read back by the
-            // engine — turnaround statistics come from the queue's online
-            // fold — so the log is suppressed and memory stays O(1) in
-            // the number of jobs executed.
+            // The queue folds turnarounds online and keeps no completion
+            // log, so memory stays O(1) in the number of jobs executed.
             queues: MultiQueue::new(n_cores),
             utilization: vec![0.0; n_cores],
             idle_time: vec![0.0; n_cores],
             now_s: 0.0,
             sensor: config.scenario.sensor_model(),
             config,
-            stack,
             thermal,
             power,
             core_sites,
@@ -178,7 +167,7 @@ impl Simulator {
     ) -> RunResult {
         assert!(duration_s > 0.0, "duration must be positive");
         let tick = self.config.tick_s;
-        let n_cores = self.stack.num_cores();
+        let n_cores = self.core_sites.len();
 
         let mut hotspots = HotSpotTracker::new(self.config.hotspot_threshold_c);
         let mut gradients = SpatialGradientTracker::new(self.config.gradient_threshold_c);

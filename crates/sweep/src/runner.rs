@@ -5,7 +5,9 @@
 //! cell's job mix straight from the generator ([`stream_mix`]), so no
 //! simulation state crosses threads, the aggregated results are
 //! bit-identical for any thread count, and trace memory is O(1) in
-//! `sim_seconds`.
+//! `sim_seconds`. Cells of one thermal model take their stack, RC
+//! network and solver products from one [`FactorShare`], which is
+//! emptied as soon as the last of them is done.
 //!
 //! With a [`CacheStore`] attached ([`run_with_cache`]), every cell is
 //! looked up by its [`cell_key`] *before* any
@@ -58,17 +60,19 @@ pub fn sim_config(spec: &SweepSpec, cell: &SweepCell) -> SimConfig {
 }
 
 /// The resolved thermal-model identity of one cell: every axis that
-/// changes the RC network, its ordering or its factors — experiment,
-/// stack order, effective TSV variant, grid, integrator and the tick
-/// the implicit substep sizes derive from. Cells with equal
-/// fingerprints build bit-identical conductance systems, so the runner
-/// hands them one [`FactorShare`] and the whole group pays for one
-/// symbolic analysis and one factor set.
+/// changes the stack, the RC network, its ordering or its factors —
+/// experiment, stack order, effective TSV variant, grid, integrator and
+/// the tick the implicit substep sizes derive from. Cells with equal
+/// fingerprints simulate one stack and bit-identical conductance
+/// systems, so the runner hands them one [`FactorShare`] and the whole
+/// group builds one stack and one network and pays for one symbolic
+/// analysis and one factor set.
 ///
 /// The TSV variant only reaches the network when the thermal config
-/// keeps the paper's interlayer (the same rule `Simulator::new`
-/// applies); a custom interlayer folds the variant out of the
-/// fingerprint instead of splitting identical models apart.
+/// keeps the paper's interlayer (the rule of
+/// [`SimConfig::resolved_thermal`]); a custom interlayer folds the
+/// variant out of the fingerprint instead of splitting identical models
+/// apart.
 #[must_use]
 pub fn model_fingerprint(spec: &SweepSpec, cell: &SweepCell) -> String {
     let cfg = sim_config(spec, cell);
@@ -93,7 +97,7 @@ pub fn model_fingerprint(spec: &SweepSpec, cell: &SweepCell) -> String {
 /// in a [`run`] of `spec`.
 #[must_use]
 pub fn run_cell(spec: &SweepSpec, cell: &SweepCell) -> RunResult {
-    run_cell_costed(spec, cell, None).0
+    run_cell_costed(spec, cell, sim_config(spec, cell), &FactorShare::new()).0
 }
 
 /// The cost of simulating one cell: wall-clock split by phase plus the
@@ -108,11 +112,13 @@ struct CellCost {
     symbolic_analyses: u64,
 }
 
-/// Simulates one cell, streaming its job mix from the generator.
+/// Simulates one cell under `cfg`, its [`sim_config`], streaming its
+/// job mix from the generator.
 fn run_cell_costed(
     spec: &SweepSpec,
     cell: &SweepCell,
-    share: Option<&FactorShare>,
+    cfg: SimConfig,
+    share: &FactorShare,
 ) -> (RunResult, CellCost) {
     #[allow(
         clippy::disallowed_methods,
@@ -120,10 +126,11 @@ fn run_cell_costed(
     )]
     let t_wall = Instant::now();
     // The policy must see the same stack the engine simulates (Adapt3D's
-    // thermal indices depend on which layer each core sits on).
-    let stack = cell.experiment.stack_with_order(cell.stack_order);
+    // thermal indices depend on which layer each core sits on), so it
+    // takes the stack from the share too.
+    let (stack, _) = share.model(cfg.experiment, cfg.scenario.stack_order, &cfg.resolved_thermal());
     let policy = cell.policy.build_with_dpm(&stack, cell.policy_seed, cell.dpm);
-    let mut sim = Simulator::with_factor_share(sim_config(spec, cell), policy, share.cloned());
+    let mut sim = Simulator::with_factor_share(cfg, policy, Some(share.clone()));
     let setup_us = elapsed_us(t_wall);
     #[allow(
         clippy::disallowed_methods,
@@ -154,14 +161,14 @@ fn run_cell_costed(
 fn try_run_cell(
     spec: &SweepSpec,
     cell: &SweepCell,
-    share: Option<&FactorShare>,
+    share: &FactorShare,
 ) -> Result<(RunResult, CellCost), String> {
+    let cfg = sim_config(spec, cell);
+    let ambient_c = cfg.thermal.ambient_c;
     let (result, cost) =
-        std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, share)))
+        std::panic::catch_unwind(AssertUnwindSafe(|| run_cell_costed(spec, cell, cfg, share)))
             .map_err(|payload| panic_message(payload.as_ref()))?;
-    result
-        .check(sim_config(spec, cell).thermal.ambient_c)
-        .map_err(|violation| format!("unphysical result: {violation}"))?;
+    result.check(ambient_c).map_err(|violation| format!("unphysical result: {violation}"))?;
     Ok((result, cost))
 }
 
@@ -170,7 +177,7 @@ fn try_run_cell(
 fn run_cell_observed(
     spec: &SweepSpec,
     cell: &SweepCell,
-    share: Option<&FactorShare>,
+    share: &FactorShare,
     key_hex: &str,
     telemetry: Option<&RunTelemetry>,
 ) -> Result<(RunResult, CellCost), String> {
@@ -340,6 +347,29 @@ fn run_selected(
     }
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| results[i].is_none()).collect();
     let threads = effective_threads(spec.threads, pending.len());
+    // One group per distinct thermal-model fingerprint among the pending
+    // cells: every cell whose model resolves identically adopts the
+    // group's stack, network, symbolic analysis and factors instead of
+    // rebuilding them. Cached cells never build a model, so they join
+    // no group. Cells run group by group, in canonical order within
+    // each, so a group's share empties after its last cell even where
+    // its cells spread over the canonical order (the seed axis varies
+    // slowest): `work` holds `(group, position)` pairs in run order.
+    let mut groups: Vec<Group> = Vec::new();
+    let mut by_fingerprint: BTreeMap<String, usize> = BTreeMap::new();
+    let mut work: Vec<(usize, usize)> = pending
+        .iter()
+        .map(|&i| {
+            let g =
+                *by_fingerprint.entry(model_fingerprint(spec, &cells[i])).or_insert_with(|| {
+                    groups.push(Group::default());
+                    groups.len() - 1
+                });
+            *groups[g].left.get_mut() += 1;
+            (g, i)
+        })
+        .collect();
+    work.sort_unstable();
 
     if let Some(tel) = telemetry {
         let reg = &tel.registry;
@@ -376,19 +406,19 @@ fn run_selected(
         }
     }
 
-    // One factor share per distinct thermal-model fingerprint among the
-    // pending cells: every cell whose model resolves identically adopts
-    // the group's symbolic analysis and factors instead of recomputing
-    // them. Cached cells never build a model, so they take no share.
-    let shares: BTreeMap<String, FactorShare> =
-        pending.iter().map(|&i| (model_fingerprint(spec, &cells[i]), FactorShare::new())).collect();
-    let share_of = |i: usize| shares.get(&model_fingerprint(spec, &cells[i]));
+    // Runs the cell at position `i` in group `g`, and empties the
+    // group's share once its last cell is done.
+    let run_in_group = |g: usize, i: usize| {
+        let group = &groups[g];
+        let outcome = run_cell_observed(spec, &cells[i], &group.share, &keys[i].hex(), telemetry);
+        group.cell_done();
+        outcome
+    };
 
     let mut costs: Vec<Option<CellCost>> = vec![None; cells.len()];
     if threads == 1 {
-        for &i in &pending {
-            let outcome =
-                run_cell_observed(spec, &cells[i], share_of(i), &keys[i].hex(), telemetry);
+        for &(g, i) in &work {
+            let outcome = run_in_group(g, i);
             results[i] = Some(match outcome {
                 Ok((result, cost)) => {
                     costs[i] = Some(cost);
@@ -401,7 +431,7 @@ fn run_selected(
         let next = AtomicUsize::new(0);
         type CellOutcome = (usize, Result<RunResult, String>, Option<CellCost>);
         let (tx, rx) = mpsc::channel::<CellOutcome>();
-        let (next, pending_ref, cells_ref, keys_ref) = (&next, &pending, &cells, &keys);
+        let (next, work, run_in_group) = (&next, &work, &run_in_group);
         #[allow(
             clippy::disallowed_methods,
             reason = "the sweep runner owns cell-level parallelism: each cell lands in its canonical slot, so the thread count never changes a report"
@@ -411,14 +441,8 @@ fn run_selected(
                 let tx = tx.clone();
                 scope.spawn(move || loop {
                     let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending_ref.get(slot) else { break };
-                    let outcome = run_cell_observed(
-                        spec,
-                        &cells_ref[i],
-                        share_of(i),
-                        &keys_ref[i].hex(),
-                        telemetry,
-                    );
+                    let Some(&(g, i)) = work.get(slot) else { break };
+                    let outcome = run_in_group(g, i);
                     let (result, cost) = match outcome {
                         Ok((result, cost)) => (Ok(result), Some(cost)),
                         Err(cause) => (Err(cause), None),
@@ -440,22 +464,24 @@ fn run_selected(
     }
 
     // Run-level solver totals come from the shares, not by summing the
-    // per-cell counters: a shared factor was *computed* once however
-    // many cells used it, so these are the deduplicated work totals (and
-    // they are scheduling-independent — compute-under-lock makes the
-    // split between computed and adopted exact, not racy). A fully
-    // cached run builds no models and reports no solver work.
+    // per-cell counters: a shared network or factor was *built* once
+    // however many cells used it, so these are the deduplicated work
+    // totals (and they are scheduling-independent — build-under-lock
+    // makes the split between built and adopted exact, not racy). A
+    // fully cached run builds no models and reports no solver work.
     if let Some(tel) = telemetry {
-        if !shares.is_empty() {
-            let (mut analyses, mut factors, mut hits) = (0u64, 0u64, 0u64);
-            for share in shares.values() {
+        if !groups.is_empty() {
+            let (mut networks, mut analyses, mut factors, mut hits) = (0u64, 0u64, 0u64, 0u64);
+            for Group { share, .. } in &groups {
+                networks += share.network_builds() as u64;
                 analyses += share.symbolic_analyses() as u64;
                 factors += share.factorizations() as u64;
                 hits += share.hits() as u64;
             }
             let reg = &tel.registry;
-            reg.counter("sweep.thermal_models").add(shares.len() as u64);
+            reg.counter("sweep.thermal_models").add(groups.len() as u64);
             reg.counter("sweep.factor_share_hits").add(hits);
+            reg.counter("thermal.network_builds").add(networks);
             reg.counter("thermal.symbolic_analyses").add(analyses);
             reg.counter("thermal.factor_numeric").add(factors);
         }
@@ -518,6 +544,28 @@ fn run_selected(
     match first_failure {
         Some(failure) => Err(failure),
         None => Ok(SweepReport { name: spec.name.clone(), rows }),
+    }
+}
+
+/// The pending cells of one thermal-model fingerprint: their share, and
+/// how many of them are yet to finish.
+#[derive(Default)]
+struct Group {
+    share: FactorShare,
+    left: AtomicUsize,
+}
+
+impl Group {
+    /// Counts one cell of the group done. After the last, nothing reads
+    /// the share's model or factors again, so the share keeps only its
+    /// counters and the run stops holding the group's model.
+    fn cell_done(&self) {
+        // Each cell's decrement releases its use of the share, and the
+        // last one acquires them all, so every use happens before
+        // `release`.
+        if self.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.share.release();
+        }
     }
 }
 
@@ -618,6 +666,18 @@ mod tests {
         let err = run_cells_with_telemetry(&spec, &[1, 4], None, None).unwrap_err();
         assert!(matches!(err, SweepError::InvalidSpec(_)), "{err}");
         assert!(err.to_string().contains("cell index 4"), "{err}");
+    }
+
+    #[test]
+    fn a_share_holding_another_model_fails_the_cell() {
+        let spec = tiny_spec(1);
+        let cell = &expand(&spec)[0];
+        let share = FactorShare::new();
+        let other = sim_config(&spec, cell).resolved_thermal().with_grid(8, 8);
+        let _ = share.model(cell.experiment, cell.stack_order, &other);
+        let cause = try_run_cell(&spec, cell, &share).unwrap_err();
+        assert!(cause.contains("factor share holds the model of EXP-1"), "{cause}");
+        assert!(cause.contains("grid_rows: 8") && cause.contains("grid_rows: 4"), "{cause}");
     }
 
     #[test]

@@ -98,8 +98,10 @@ fn factor_share_dedupes_solver_work_across_cells() {
     // All four cells differ only in policy/DPM, so they resolve to one
     // thermal model …
     assert_eq!(snap.counters["sweep.thermal_models"], 1);
-    // … which pays for exactly one symbolic analysis and one factor
-    // set, however many cells and worker threads the sweep used.
+    // … which pays for exactly one network build, one symbolic analysis
+    // and one factor set, however many cells and worker threads the
+    // sweep used.
+    assert_eq!(snap.counters["thermal.network_builds"], 1);
     assert_eq!(snap.counters["thermal.symbolic_analyses"], 1);
     let computed = snap.counters["thermal.factor_numeric"];
     let per_cell: Vec<u64> =

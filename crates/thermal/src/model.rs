@@ -4,7 +4,7 @@
 use std::f64::consts::SQRT_2;
 use std::sync::Arc;
 
-use therm3d_floorplan::Stack3d;
+use therm3d_floorplan::{Experiment, Stack3d, StackOrder};
 use therm3d_telemetry::Span;
 
 use crate::config::{Integrator, ThermalConfig};
@@ -57,13 +57,14 @@ pub(crate) const TRBDF2_C2: f64 = (SQRT_2 - 1.0) / 2.0;
 
 /// A transient 3D thermal simulator for a die stack.
 ///
-/// `ThermalModel` owns an RC network — the cell grid [`new`](Self::new)
-/// builds from a [`Stack3d`] and a [`ThermalConfig`], or any network
-/// handed to [`from_network`](Self::from_network), such as the block
-/// network of [`RcNetwork::build_blocks`] — the current temperature
-/// state, and the current per-block power assignment. Both kinds of
-/// network step, solve and read back through the same code. Typical use
-/// alternates
+/// `ThermalModel` holds an RC network — the cell grid [`new`](Self::new)
+/// builds from a [`Stack3d`] and a [`ThermalConfig`], the one a
+/// [`FactorShare`] holds ([`from_share`](Self::from_share)), or any
+/// network handed to [`from_network`](Self::from_network), such as the
+/// block network of [`RcNetwork::build_blocks`] — and owns the current
+/// temperature state and the current per-block power assignment. Both
+/// kinds of network step, solve and read back through the same code.
+/// Typical use alternates
 /// [`set_block_powers`](Self::set_block_powers) and [`step`](Self::step)
 /// at the thermal sampling interval (100 ms in the paper), reading back
 /// [`block_temperatures_c`](Self::block_temperatures_c) for the policies.
@@ -91,7 +92,8 @@ pub(crate) const TRBDF2_C2: f64 = (SQRT_2 - 1.0) / 2.0;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThermalModel {
-    network: RcNetwork,
+    /// The RC network, adopted from the share when one is attached.
+    network: Arc<RcNetwork>,
     /// Node temperatures in kelvin; stale while `modes` holds the
     /// state.
     temps_k: Vec<f64>,
@@ -206,9 +208,6 @@ struct ImplicitState {
     symbolic: Option<Arc<Symbolic>>,
     /// Optional cross-model share (sweep cells with one fingerprint).
     share: Option<FactorShare>,
-    /// Nested-dissection ordering hint for large networks, where the
-    /// exact minimum-degree search is intractable.
-    perm_hint: Option<Vec<usize>>,
     /// Factorizations *ensured* over the model's lifetime — computed
     /// locally or adopted ready-made from the attached share; the count
     /// is identical either way, so it is scheduling-independent (tests
@@ -223,12 +222,14 @@ struct ImplicitState {
 }
 
 impl ImplicitState {
-    /// Runs the symbolic analysis for `a`, under the nested-dissection
-    /// hint when the network is large enough to carry one.
-    fn analyze_for(a: &CsrMatrix, perm_hint: Option<&Vec<usize>>) -> Symbolic {
+    /// Runs the symbolic analysis for `a`, a system of `network`: in
+    /// the network's nested-dissection order from `ND_MIN_DIM` nodes on,
+    /// where the exact minimum-degree search is intractable.
+    fn analyze_for(a: &CsrMatrix, network: &RcNetwork) -> Symbolic {
         let _span = Span::enter("thermal.symbolic_analyze_us");
-        match perm_hint {
-            Some(p) if p.len() == a.dim() => analyze_with_perm(a, p.clone()),
+        let perm = if a.dim() >= ND_MIN_DIM { network.nested_dissection_perm() } else { None };
+        match perm {
+            Some(p) if p.len() == a.dim() => analyze_with_perm(a, p),
             _ => analyze(a),
         }
     }
@@ -239,7 +240,12 @@ impl ImplicitState {
     /// to a fresh analysis if `a`'s pattern size ever diverges from the
     /// analyzed one (cannot happen for one RC network's systems, but
     /// corruption-proof beats a panic deep inside the solver).
-    fn ensure_symbolic(&mut self, a: &CsrMatrix, state: Option<&mut ShareState>) {
+    fn ensure_symbolic(
+        &mut self,
+        a: &CsrMatrix,
+        network: &RcNetwork,
+        state: Option<&mut ShareState>,
+    ) {
         let fits = |s: &Option<Arc<Symbolic>>| {
             s.as_ref().is_some_and(|s| s.dim() == a.dim() && s.pattern_nnz() == a.nnz())
         };
@@ -247,10 +253,10 @@ impl ImplicitState {
             return;
         }
         self.symbolic = Some(match state {
-            None => Arc::new(Self::analyze_for(a, self.perm_hint.as_ref())),
+            None => Arc::new(Self::analyze_for(a, network)),
             Some(state) => {
                 if !fits(&state.symbolic) {
-                    state.symbolic = Some(Arc::new(Self::analyze_for(a, self.perm_hint.as_ref())));
+                    state.symbolic = Some(Arc::new(Self::analyze_for(a, network)));
                     state.symbolic_analyses += 1;
                 }
                 Arc::clone(state.symbolic.as_ref().expect("ensured above"))
@@ -293,15 +299,21 @@ impl ImplicitState {
         made
     }
 
-    /// Ensures the factorization of `a` for `key`, reusing (or lazily
-    /// computing) the shared symbolic analysis.
-    fn factor_shared(&mut self, a: &CsrMatrix, what: &str, key: FactorKey) -> Arc<LdlFactor> {
+    /// Ensures the factorization of `a`, a system of `network`, for
+    /// `key`, reusing (or lazily computing) the shared symbolic analysis.
+    fn factor_shared(
+        &mut self,
+        a: &CsrMatrix,
+        network: &RcNetwork,
+        what: &str,
+        key: FactorKey,
+    ) -> Arc<LdlFactor> {
         // LDLᵀ without pivoting assumes symmetry; an asymmetric system
         // here means the RC assembly upstream is broken.
         debug_assert!(a.is_symmetric(1e-9), "{what} must be symmetric for LDL^T");
         let share = self.share.clone();
         let mut state = share.as_ref().map(FactorShare::lock);
-        self.ensure_symbolic(a, state.as_deref_mut());
+        self.ensure_symbolic(a, network, state.as_deref_mut());
         drop(state);
         self.ensure_shared(
             |state| match key {
@@ -409,12 +421,39 @@ impl ThermalModel {
     /// temperature (the zero-power steady state).
     #[must_use]
     pub fn from_network(network: RcNetwork, integrator: Integrator) -> Self {
+        Self::with_network(Arc::new(network), integrator, None)
+    }
+
+    /// The model of `experiment`'s stack in `order` under `config`, as
+    /// [`new`](Self::new) builds it, but over the network `share` holds
+    /// (see [`FactorShare::model`]): the symbolic analysis, the factors
+    /// and the eigenbasis this model needs are adopted from the share
+    /// when present and computed into it (exactly once, under the share
+    /// lock) when not. Results are bit-identical to an unshared model's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `share` holds another model, or if `config` is invalid
+    /// (see [`ThermalConfig::validate`]).
+    #[must_use]
+    pub fn from_share(
+        share: FactorShare,
+        experiment: Experiment,
+        order: StackOrder,
+        config: &ThermalConfig,
+    ) -> Self {
+        let (_, network) = share.model(experiment, order, config);
+        Self::with_network(network, config.integrator, Some(share))
+    }
+
+    fn with_network(
+        network: Arc<RcNetwork>,
+        integrator: Integrator,
+        share: Option<FactorShare>,
+    ) -> Self {
         let (n, blocks) = (network.node_count(), network.block_count());
         let stable_dt = RK4_SAFETY * RK4_STABILITY / network.stiffness_bound();
-        let implicit = ImplicitState {
-            perm_hint: if n >= ND_MIN_DIM { network.nested_dissection_perm() } else { None },
-            ..ImplicitState::default()
-        };
+        let implicit = ImplicitState { share, ..ImplicitState::default() };
         let scratch = match integrator {
             Integrator::ExplicitRk4 => Rk4Scratch::new(n),
             Integrator::ImplicitCn => Rk4Scratch::default(),
@@ -438,15 +477,6 @@ impl ThermalModel {
         };
         model.fill_drive(&vec![0.0; blocks]);
         model
-    }
-
-    /// Attaches a cross-model [`FactorShare`]: factorizations and the
-    /// eigenbasis this model needs are adopted from the share when
-    /// present and computed into it (exactly once, under the share
-    /// lock) when not. Attach before the first factorization — typically
-    /// right after construction — so nothing is computed twice.
-    pub fn set_factor_share(&mut self, share: FactorShare) {
-        self.implicit.share = Some(share);
     }
 
     /// The transient integration scheme this model steps with.
@@ -608,6 +638,7 @@ impl ThermalModel {
         let system = self.network.shifted_system(TRBDF2_SHIFT / h);
         let factored = self.implicit.factor_shared(
             &system,
+            &self.network,
             "implicit thermal system",
             FactorKey::Step(h_bits),
         );
@@ -621,6 +652,7 @@ impl ThermalModel {
             // diagonal), so this also reuses the one symbolic analysis.
             let factored = self.implicit.factor_shared(
                 self.network.conductance(),
+                &self.network,
                 "conductance matrix",
                 FactorKey::Steady,
             );
@@ -1196,36 +1228,32 @@ mod tests {
     fn factor_share_computes_once_and_adoption_is_bit_identical() {
         let stack = Experiment::Exp3.stack();
         let cfg = ThermalConfig::paper_default().with_grid(4, 4);
-        let p = {
-            let mut p = vec![0.0; stack.num_blocks()];
-            for c in stack.core_ids() {
-                p[stack.core_block_index(c)] = 2.0;
-            }
-            p
-        };
+        let p = core_power_vector(&stack, 2.0);
         // Reference: an unshared model.
         let mut lone = ThermalModel::new(&stack, cfg.clone());
         lone.initialize_steady_state(&p);
         lone.step(0.1);
         lone.step(0.05);
 
-        let share = crate::share::FactorShare::new();
-        let mut first = ThermalModel::new(&stack, cfg.clone());
-        first.set_factor_share(share.clone());
-        let mut second = ThermalModel::new(&stack, cfg);
-        second.set_factor_share(share.clone());
+        let share = FactorShare::new();
+        let order = StackOrder::default();
+        let mut first = ThermalModel::from_share(share.clone(), Experiment::Exp3, order, &cfg);
+        let mut second = ThermalModel::from_share(share.clone(), Experiment::Exp3, order, &cfg);
         for m in [&mut first, &mut second] {
             m.initialize_steady_state(&p);
             m.step(0.1);
             m.step(0.05);
         }
 
-        // One analysis, one steady factor and one eigenbasis across
-        // BOTH models …
+        // One network, one analysis, one steady factor and one
+        // eigenbasis across BOTH models …
+        assert!(std::ptr::eq(first.network(), second.network()), "one network for both");
+        assert_eq!(share.network_builds(), 1);
         assert_eq!(share.symbolic_analyses(), 1);
         assert_eq!(share.factorizations(), 2, "steady + one eigenbasis for both step sizes");
         assert_eq!(share.factors_cached(), 2);
-        // … the second model adopted both.
+        // … the second model adopted both factors; adopting the network
+        // is not a factor hit.
         assert_eq!(share.hits(), 2);
         // Ensured per-model counters are identical to the unshared ones.
         for m in [&first, &second] {
@@ -1239,6 +1267,48 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+
+        // Releasing keeps the counters and drops the model: the next
+        // model builds its network again.
+        share.release();
+        assert_eq!((share.factors_cached(), share.network_builds(), share.hits()), (0, 1, 2));
+        let third = ThermalModel::from_share(share.clone(), Experiment::Exp3, order, &cfg);
+        assert!(!std::ptr::eq(third.network(), first.network()));
+        assert_eq!(share.network_builds(), 2);
+    }
+
+    /// The message of the panic `ask` raises on a share that holds the
+    /// 4×4 EXP-1 model.
+    fn mismatch_message(ask: impl FnOnce(&FactorShare)) -> String {
+        let share = FactorShare::new();
+        let cfg = ThermalConfig::paper_default().with_grid(4, 4);
+        let _ = share.model(Experiment::Exp1, StackOrder::CoresFarFromSink, &cfg);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ask(&share)))
+            .expect_err("a share asked for another model must panic");
+        payload.downcast_ref::<String>().cloned().expect("a formatted message")
+    }
+
+    #[test]
+    fn a_share_asked_for_another_model_panics_naming_both() {
+        let grid = |g| ThermalConfig::paper_default().with_grid(g, g);
+        let far = StackOrder::CoresFarFromSink;
+        let msg = mismatch_message(|share| {
+            let _ = share.model(Experiment::Exp1, far, &grid(8));
+        });
+        assert!(msg.contains("grid_rows: 4") && msg.contains("grid_rows: 8"), "{msg}");
+        let msg = mismatch_message(|share| {
+            let _ = ThermalModel::from_share(share.clone(), Experiment::Exp2, far, &grid(4));
+        });
+        assert!(msg.contains("EXP-1") && msg.contains("EXP-2"), "{msg}");
+        let msg = mismatch_message(|share| {
+            let _ = share.model(Experiment::Exp1, StackOrder::CoresNearSink, &grid(4));
+        });
+        assert!(msg.contains("cores-far") && msg.contains("cores-near"), "{msg}");
+        let msg = mismatch_message(|share| {
+            let rk4 = grid(4).with_integrator(Integrator::ExplicitRk4);
+            let _ = share.model(Experiment::Exp1, far, &rk4);
+        });
+        assert!(msg.contains("ImplicitCn") && msg.contains("ExplicitRk4"), "{msg}");
     }
 
     /// xorshift64 stream of uniform samples in `[0, 1)`.
