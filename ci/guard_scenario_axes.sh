@@ -13,7 +13,7 @@ rm -rf "$OUT" && mkdir -p "$OUT"
 "$BIN" cache compact --cache-dir "$CACHE"
 "$BIN" sweep examples/sweep_scenarios.toml --format csv \
     --cache-dir "$CACHE" --cache-stats > "$OUT/ssecond.out" 2> "$OUT/ssecond.err"
-grep -E '^cache(\[[0-9]+/[0-9]+\])?: 0 hits, 16 misses, 16 inserted' "$OUT/sfirst.err"
-grep -E '^cache(\[[0-9]+/[0-9]+\])?: 16 hits, 0 misses, 0 inserted' "$OUT/ssecond.err"
+grep '^cache: 0 hits, 16 misses, 16 inserted' "$OUT/sfirst.err"
+grep '^cache: 16 hits, 0 misses, 0 inserted' "$OUT/ssecond.err"
 diff "$OUT/sfirst.out" "$OUT/ssecond.out"
 echo "scenario-axes cache guard ok"

@@ -2,7 +2,9 @@
 //! (with leakage feedback) → thermal → sensors → policy, at the paper's
 //! 100 ms sampling interval (Section IV-D).
 
-use therm3d_floorplan::CoreId;
+use std::sync::Arc;
+
+use therm3d_floorplan::{CoreId, Stack3d};
 use therm3d_metrics::{
     max_layer_gradient, max_vertical_gradient, EnergyMeter, HotSpotTracker, PerformanceStats,
     SpatialGradientTracker, ThermalCycleTracker, VerticalGradientTracker,
@@ -45,13 +47,13 @@ pub struct Simulator {
     power: PowerModel,
     queues: MultiQueue,
     policy: Box<dyn Policy>,
+    /// The simulated stack, shared with every cell of its model: the
+    /// tick reads each block's layer (for the gradient metric) and the
+    /// vertically adjacent block pairs (for the TSV-stress
+    /// vertical-gradient metric of Section V-C) from it.
+    stack: Arc<Stack3d>,
     /// Global block index of each core, by `CoreId`.
     core_sites: Vec<usize>,
-    /// Layer of each block (for the gradient metric).
-    layer_of_block: Vec<usize>,
-    /// Vertically adjacent overlapping block pairs (for the TSV-stress
-    /// vertical-gradient metric of Section V-C).
-    vertical_pairs: Vec<(usize, usize)>,
     /// Per-core utilization over the previous tick.
     utilization: Vec<f64>,
     /// Per-core continuous idle time, seconds.
@@ -103,15 +105,17 @@ impl Simulator {
         let power = PowerModel::new(&stack, config.power.clone(), config.vf.clone());
         let n_cores = stack.num_cores();
         let core_sites: Vec<usize> = stack.core_ids().map(|c| stack.core_block_index(c)).collect();
-        let layer_of_block: Vec<usize> = stack.sites().iter().map(|s| s.layer).collect();
-        let vertical_pairs = stack.vertical_adjacency();
 
         // Idle-system steady state with leakage feedback: fixed-point
-        // iterate power(T) → steady(T) a few times.
+        // iterate power(T) → steady(T) a few times. Cells of one share
+        // and one power model pass through the same powers, so after
+        // the first such cell each steady state is copied from the
+        // share.
         let idle = vec![CorePowerInput::idle(); n_cores];
         let mut temps = vec![config.thermal.ambient_c; stack.num_blocks()];
+        let mut powers = Vec::with_capacity(stack.num_blocks());
         for _ in 0..3 {
-            let powers = power.block_powers(&idle, &temps);
+            power.block_powers_into(&idle, &temps, &mut powers);
             temps = thermal.initialize_steady_state(&powers);
         }
 
@@ -126,9 +130,8 @@ impl Simulator {
             config,
             thermal,
             power,
+            stack,
             core_sites,
-            layer_of_block,
-            vertical_pairs,
             policy,
         }
     }
@@ -181,6 +184,8 @@ impl Simulator {
 
         let mut cursor = SourceCursor::new(source);
         let deadline = duration_s + self.config.drain_max_s;
+        let stack = Arc::clone(&self.stack);
+        let (layer_of_block, vertical_pairs) = (stack.layer_of_block(), stack.vertical_pairs());
 
         // Persistent per-tick buffers: the loop below runs ten times per
         // simulated second for minutes of simulated time, so the hot
@@ -320,8 +325,8 @@ impl Simulator {
             core_after.clear();
             core_after.extend(self.core_sites.iter().map(|&s| temps_after[s]));
             hotspots.record(&core_after);
-            gradients.record(max_layer_gradient(&temps_after, &self.layer_of_block));
-            vertical.record(max_vertical_gradient(&temps_after, &self.vertical_pairs));
+            gradients.record(max_layer_gradient(&temps_after, layer_of_block));
+            vertical.record(max_vertical_gradient(&temps_after, vertical_pairs));
             cycles.record(&core_after);
 
             vf_index.clear();
@@ -333,7 +338,7 @@ impl Simulator {
                 tick_s: tick,
                 core_temps_c: &core_after,
                 block_temps_c: &temps_after,
-                layer_of_block: &self.layer_of_block,
+                layer_of_block,
                 utilization: &self.utilization,
                 chip_power_w,
                 vf_index: &vf_index,
@@ -469,6 +474,41 @@ mod tests {
         // Whether migrations trigger depends on crossing 85 °C; at minimum
         // the run must be well-formed.
         assert!(r.perf.completed > 0);
+    }
+
+    #[test]
+    fn simulators_on_one_share_start_bit_identical_and_solve_the_idle_state_once() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        // 34 and 258 nodes: a modal and a sparse model.
+        for (exp, grid) in [(Experiment::Exp1, 4), (Experiment::Exp3, 8)] {
+            let stack = exp.stack();
+            let mut cfg = SimConfig::fast(exp);
+            cfg.thermal = cfg.thermal.with_grid(grid, grid);
+            let policy = || PolicyKind::Default.build(&stack, 1);
+
+            // Reference: a thermal model with no share, so no memo,
+            // driven through the same three power → steady iterations.
+            let mut lone = ThermalModel::new(&stack, cfg.resolved_thermal());
+            let power = PowerModel::new(&stack, cfg.power.clone(), cfg.vf.clone());
+            let idle = vec![CorePowerInput::idle(); stack.num_cores()];
+            let mut temps = vec![cfg.thermal.ambient_c; stack.num_blocks()];
+            for _ in 0..3 {
+                temps = lone.initialize_steady_state(&power.block_powers(&idle, &temps));
+            }
+
+            let share = FactorShare::new();
+            let first = Simulator::with_factor_share(cfg.clone(), policy(), Some(share.clone()));
+            assert_eq!(share.steady_solves(), 3, "{exp}: one per iteration");
+            let second = Simulator::with_factor_share(cfg.clone(), policy(), Some(share.clone()));
+            assert_eq!(share.steady_solves(), 3, "{exp}: the second copies all three");
+            assert_eq!(share.hits(), 1, "{exp}: the second still adopts the steady factor");
+            for sim in [&first, &second] {
+                let t = &sim.thermal;
+                assert_eq!(bits(t.block_temperatures_c()), bits(lone.block_temperatures_c()));
+                assert_eq!(bits(t.node_temperatures_k()), bits(lone.node_temperatures_k()));
+                assert_eq!(t.factorization_count(), lone.factorization_count());
+            }
+        }
     }
 
     #[test]

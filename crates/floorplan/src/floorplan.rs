@@ -1,6 +1,5 @@
 //! A single-layer floorplan: a validated set of non-overlapping blocks.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::block::{Block, UnitKind};
@@ -80,7 +79,6 @@ impl std::error::Error for BuildFloorplanError {}
 pub struct Floorplan {
     outline: Rect,
     blocks: Vec<Block>,
-    by_name: HashMap<String, usize>,
 }
 
 impl Floorplan {
@@ -94,9 +92,8 @@ impl Floorplan {
         if blocks.is_empty() {
             return Err(BuildFloorplanError::Empty);
         }
-        let mut by_name = HashMap::with_capacity(blocks.len());
         for (i, b) in blocks.iter().enumerate() {
-            if by_name.insert(b.name().to_owned(), i).is_some() {
+            if blocks[..i].iter().any(|earlier| earlier.name() == b.name()) {
                 return Err(BuildFloorplanError::DuplicateName(b.name().to_owned()));
             }
             if !b.rect().contained_in(&outline) {
@@ -114,7 +111,7 @@ impl Floorplan {
                 }
             }
         }
-        Ok(Self { outline, blocks, by_name })
+        Ok(Self { outline, blocks })
     }
 
     /// The die outline.
@@ -156,10 +153,11 @@ impl Floorplan {
         self.blocks.iter().enumerate().filter(|(_, b)| b.kind() == UnitKind::Core)
     }
 
-    /// Looks up a block index by name.
+    /// Looks up a block index by name (a linear scan: a layer holds a
+    /// dozen blocks or so).
     #[must_use]
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.blocks.iter().position(|b| b.name() == name)
     }
 
     /// Looks up a block by name.

@@ -1,8 +1,8 @@
 //! 3D die stacks: ordered layers of floorplans plus global block/core
 //! indexing.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::block::UnitKind;
 use crate::floorplan::Floorplan;
@@ -61,12 +61,15 @@ pub struct Stack3d {
     layers: Vec<Floorplan>,
     layer_names: Vec<String>,
     sites: Vec<BlockSite>,
-    /// Global site index for each `(layer, block)` pair. Ordered so
-    /// any future iteration over it is deterministic (stack summaries
-    /// feed sweep CSV output).
-    site_by_loc: BTreeMap<(usize, usize), usize>,
+    /// Global site index of each layer's first block: layer `l` holds
+    /// the sites `layer_start[l]..layer_start[l] + layers[l].len()`.
+    layer_start: Vec<usize>,
+    /// Layer of each block, by global site index.
+    layer_of_block: Vec<usize>,
     /// Global site index of each core, ordered by `CoreId`.
     core_sites: Vec<usize>,
+    /// [`Stack3d::vertical_pairs`], scanned on first use.
+    vertical_pairs: OnceLock<Vec<(usize, usize)>>,
 }
 
 impl Stack3d {
@@ -90,11 +93,14 @@ impl Stack3d {
         }
         let (layer_names, layers): (Vec<_>, Vec<_>) = layers.into_iter().unzip();
         let mut sites = Vec::new();
-        let mut site_by_loc = BTreeMap::new();
+        let mut layer_start = Vec::with_capacity(layers.len());
         let mut core_sites = Vec::new();
         for (li, fp) in layers.iter().enumerate() {
+            layer_start.push(sites.len());
             for (bi, b) in fp.blocks().iter().enumerate() {
-                let idx = sites.len();
+                if b.kind() == UnitKind::Core {
+                    core_sites.push(sites.len());
+                }
                 sites.push(BlockSite {
                     layer: li,
                     block: bi,
@@ -102,13 +108,18 @@ impl Stack3d {
                     kind: b.kind(),
                     area_mm2: b.area(),
                 });
-                site_by_loc.insert((li, bi), idx);
-                if b.kind() == UnitKind::Core {
-                    core_sites.push(idx);
-                }
             }
         }
-        Self { layers, layer_names, sites, site_by_loc, core_sites }
+        let layer_of_block = sites.iter().map(|s| s.layer).collect();
+        Self {
+            layers,
+            layer_names,
+            sites,
+            layer_start,
+            layer_of_block,
+            core_sites,
+            vertical_pairs: OnceLock::new(),
+        }
     }
 
     /// Number of silicon layers.
@@ -159,7 +170,14 @@ impl Stack3d {
     /// Global site index of the block at `(layer, block)`.
     #[must_use]
     pub fn site_index(&self, layer: usize, block: usize) -> Option<usize> {
-        self.site_by_loc.get(&(layer, block)).copied()
+        let in_range = block < self.layers.get(layer)?.len();
+        in_range.then(|| self.layer_start[layer] + block)
+    }
+
+    /// The layer of every block, indexed like [`sites`](Self::sites).
+    #[must_use]
+    pub fn layer_of_block(&self) -> &[usize] {
+        &self.layer_of_block
     }
 
     /// Number of processing cores in the stack.
@@ -209,6 +227,7 @@ impl Stack3d {
     /// quantity Section V-C of the paper investigates).
     ///
     /// Pairs are ordered `(lower, upper)` and each pair appears once.
+    /// A copy of [`vertical_pairs`](Self::vertical_pairs).
     ///
     /// # Examples
     ///
@@ -224,20 +243,31 @@ impl Stack3d {
     /// ```
     #[must_use]
     pub fn vertical_adjacency(&self) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for upper in 1..self.layer_count() {
-            let lower = upper - 1;
-            for (bi_lo, b_lo) in self.layers[lower].blocks().iter().enumerate() {
-                for (bi_hi, b_hi) in self.layers[upper].blocks().iter().enumerate() {
-                    if b_lo.rect().intersection_area(b_hi.rect()) > 1e-9 {
-                        let lo = self.site_by_loc[&(lower, bi_lo)];
-                        let hi = self.site_by_loc[&(upper, bi_hi)];
-                        pairs.push((lo, hi));
+        self.vertical_pairs().to_vec()
+    }
+
+    /// The pairs of [`vertical_adjacency`](Self::vertical_adjacency),
+    /// borrowed: the plan-view overlap scan, quadratic in the blocks per
+    /// layer, runs once per stack, on the first call.
+    #[must_use]
+    pub fn vertical_pairs(&self) -> &[(usize, usize)] {
+        self.vertical_pairs.get_or_init(|| {
+            let mut pairs = Vec::new();
+            for upper in 1..self.layer_count() {
+                let lower = upper - 1;
+                for (bi_lo, b_lo) in self.layers[lower].blocks().iter().enumerate() {
+                    for (bi_hi, b_hi) in self.layers[upper].blocks().iter().enumerate() {
+                        if b_lo.rect().intersection_area(b_hi.rect()) > 1e-9 {
+                            pairs.push((
+                                self.layer_start[lower] + bi_lo,
+                                self.layer_start[upper] + bi_hi,
+                            ));
+                        }
                     }
                 }
             }
-        }
-        pairs
+            pairs
+        })
     }
 
     /// Default per-core thermal indices `α_i ∈ (0, 1)` for the Adapt3D
@@ -297,6 +327,40 @@ mod tests {
         assert_eq!(s.num_blocks(), s.layer(0).len() + s.layer(1).len());
         for (i, site) in s.sites().iter().enumerate() {
             assert_eq!(s.site_index(site.layer, site.block), Some(i));
+            assert_eq!(s.layer_of_block()[i], site.layer);
+        }
+        assert_eq!(s.site_index(0, s.layer(0).len()), None, "block past its layer");
+        assert_eq!(s.site_index(2, 0), None, "layer past the stack");
+    }
+
+    /// The overlap scan run afresh, without the stack's cache.
+    fn scanned_pairs(s: &Stack3d) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for (lo, a) in s.sites().iter().enumerate() {
+            for (hi, b) in s.sites().iter().enumerate() {
+                let (ra, rb) = (
+                    s.layer(a.layer).blocks()[a.block].rect(),
+                    s.layer(b.layer).blocks()[b.block].rect(),
+                );
+                if b.layer == a.layer + 1 && ra.intersection_area(rb) > 1e-9 {
+                    pairs.push((lo, hi));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn cached_vertical_pairs_equal_a_fresh_scan() {
+        for exp in crate::Experiment::ALL {
+            for order in crate::StackOrder::ALL {
+                let s = exp.stack_with_order(order);
+                let fresh = scanned_pairs(&s);
+                assert!(!fresh.is_empty(), "{exp} {order}");
+                assert_eq!(s.vertical_pairs(), fresh, "{exp} {order}: first call");
+                assert_eq!(s.vertical_adjacency(), fresh, "{exp} {order}: cached");
+                assert_eq!(s.clone().vertical_pairs(), fresh, "{exp} {order}: a clone");
+            }
         }
     }
 

@@ -32,7 +32,7 @@ const RK4_STABILITY: f64 = 2.78;
 /// tick.
 const MAX_IMPLICIT_STEP_S: f64 = 0.035;
 /// Network size at which the symbolic analysis switches from the exact
-/// minimum-degree ordering (quadratic-plus in the node count) to the
+/// minimum-degree ordering (quadratic in the node count) to the
 /// geometric nested-dissection order (near-linear on the grid).
 const ND_MIN_DIM: usize = 2048;
 /// Largest network whose implicit tick runs in its eigenbasis; larger
@@ -769,7 +769,9 @@ impl ThermalModel {
     /// The solve is direct: the conductance matrix is LDLᵀ-factored once
     /// (lazily, cached for the model's lifetime) and every subsequent
     /// call is two triangular sweeps — there is no iterative solver left
-    /// to fail to converge.
+    /// to fail to converge. With a [`FactorShare`] attached, a steady
+    /// state the share already solved under the same powers is copied
+    /// from it instead (see [`FactorShare`]).
     ///
     /// Returns the per-block steady-state temperatures in °C.
     ///
@@ -783,9 +785,14 @@ impl ThermalModel {
         self.fill_drive(powers);
         self.block_power.copy_from_slice(powers);
         self.ensure_steady_factor();
-        let ImplicitState { steady, work, .. } = &mut self.implicit;
+        let ImplicitState { steady, work, share, .. } = &mut self.implicit;
         let steady = steady.as_ref().expect("ensured above");
-        steady.solve_into(&self.drive, &mut work.solve, &mut self.temps_k);
+        let drive = &self.drive;
+        let mut solve = |temps: &mut [f64]| steady.solve_into(drive, &mut work.solve, temps);
+        match share {
+            Some(share) => share.steady_state(powers, &mut self.temps_k, solve),
+            None => solve(&mut self.temps_k),
+        }
         let modes = &mut self.modes;
         modes.origin_powers.copy_from_slice(powers);
         modes.origin_sink_w = 0.0;
@@ -1260,6 +1267,8 @@ mod tests {
             assert_eq!(m.factorization_count(), lone.factorization_count());
             assert_eq!(m.symbolic_analysis_count(), lone.symbolic_analysis_count());
         }
+        // The second model copied the steady state the first solved.
+        assert_eq!(share.steady_solves(), 1);
         // Adoption changes nothing numerically: bit-identical state.
         let reference = lone.node_temperatures_k();
         for m in [&first, &second] {
@@ -1275,6 +1284,35 @@ mod tests {
         let third = ThermalModel::from_share(share.clone(), Experiment::Exp3, order, &cfg);
         assert!(!std::ptr::eq(third.network(), first.network()));
         assert_eq!(share.network_builds(), 2);
+    }
+
+    #[test]
+    fn the_steady_state_memo_is_bounded_and_emptied_by_release() {
+        use crate::share::MAX_STEADY_STATES;
+
+        let share = FactorShare::new();
+        let cfg = ThermalConfig::paper_default().with_grid(4, 4);
+        let order = StackOrder::default();
+        let mut model = ThermalModel::from_share(share.clone(), Experiment::Exp1, order, &cfg);
+        let blocks = model.block_count();
+        let powers = |w: usize| vec![0.25 * w as f64; blocks];
+        for w in 0..10 {
+            model.initialize_steady_state(&powers(w));
+            assert!(share.lock().steady_states.len() <= MAX_STEADY_STATES);
+        }
+        assert_eq!(share.steady_solves(), 10);
+        // The newest states stay, the oldest went first.
+        model.initialize_steady_state(&powers(9));
+        assert_eq!(share.steady_solves(), 10, "the newest is copied");
+        model.initialize_steady_state(&powers(0));
+        assert_eq!(share.steady_solves(), 11, "the oldest was evicted");
+        // Powers are matched bit for bit: -0 W is not 0 W.
+        model.initialize_steady_state(&vec![-0.0; blocks]);
+        assert_eq!(share.steady_solves(), 12);
+
+        share.release();
+        assert!(share.lock().steady_states.is_empty(), "release empties the memo");
+        assert_eq!(share.steady_solves(), 12, "release keeps the counter");
     }
 
     /// The message of the panic `ask` raises on a share that holds the

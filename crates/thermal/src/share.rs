@@ -19,7 +19,11 @@
 //! and treats the analysis, each factor and the eigenbasis the same
 //! way: the first model to need one computes it under the lock (so it
 //! is computed exactly once, regardless of scheduling), and every other
-//! model waits and adopts the finished `Arc`.
+//! model waits and adopts the finished `Arc`. Steady states are shared
+//! the same way: the share memoizes the node temperatures of the last
+//! few steady solves, keyed by the exact bits of their block powers, so
+//! the idle steady state every cell of a group starts from is solved
+//! once per group and copied into every later cell.
 //!
 //! The lock is held only to adopt or to compute a missing entry; after
 //! warm-up each cell takes it a handful of times total (once per
@@ -28,8 +32,9 @@
 //! factors and eigenbases are bit-identical to what the adopting model
 //! would have computed itself, because the assembly, the numeric phases
 //! and the decomposition are deterministic functions of the model's
-//! inputs. [`FactorShare::release`] drops all of it once the last cell
-//! of a group is done, keeping only the counters.
+//! inputs, and so are the memoized steady states.
+//! [`FactorShare::release`] drops all of it once the last cell of a
+//! group is done, keeping only the counters.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -39,6 +44,12 @@ use crate::config::ThermalConfig;
 use crate::modal::Eigenbasis;
 use crate::network::RcNetwork;
 use crate::sparse::factor::{LdlFactor, Symbolic};
+
+/// Steady states a share memoizes at most, oldest evicted first. A
+/// simulator's idle initialization solves three, one per power →
+/// temperature iteration, and every cell of a group solves the same
+/// three.
+pub(crate) const MAX_STEADY_STATES: usize = 4;
 
 /// Shared model state for one thermal-model fingerprint. Cloning the
 /// handle shares the underlying state (it is an `Arc` internally).
@@ -61,6 +72,11 @@ pub(crate) struct ShareState {
     pub(crate) steps: Vec<(u64, Arc<LdlFactor>)>,
     /// The eigenbasis of a network of at most 128 nodes.
     pub(crate) eigenbasis: Option<Arc<Eigenbasis>>,
+    /// Memoized steady states, oldest first.
+    pub(crate) steady_states: Vec<SteadyState>,
+    /// Steady states solved (not copied from the memo) through this
+    /// share.
+    steady_solves: usize,
     /// Networks built (not adopted) through this share — exactly 1 once
     /// any cell has asked for the model.
     network_builds: usize,
@@ -74,6 +90,15 @@ pub(crate) struct ShareState {
     /// Factor and eigenbasis adoptions served from the share instead of
     /// recomputed.
     pub(crate) hits: usize,
+}
+
+/// A steady state a share memoizes.
+#[derive(Debug)]
+pub(crate) struct SteadyState {
+    /// The bits of the block powers it was solved under.
+    power_bits: Box<[u64]>,
+    /// The node temperatures, K.
+    temps_k: Box<[f64]>,
 }
 
 /// The model a share holds and the inputs that fix it.
@@ -140,10 +165,38 @@ impl FactorShare {
         (Arc::clone(&held.stack), Arc::clone(&held.network))
     }
 
-    /// Drops the model and every solver product the share holds, keeping
-    /// its counters: the sweep runner calls it once the last cell of the
-    /// share's group is done. A later [`model`](Self::model) builds
-    /// afresh.
+    /// Fills `temps` with the steady node temperatures under `powers`.
+    /// They are copied when the share holds a steady state solved under
+    /// the same powers, bit for bit; else `solve` computes them under
+    /// the share lock, and the share memoizes them.
+    pub(crate) fn steady_state(
+        &self,
+        powers: &[f64],
+        temps: &mut [f64],
+        solve: impl FnOnce(&mut [f64]),
+    ) {
+        let mut state = self.lock();
+        let bits = || powers.iter().map(|p| p.to_bits());
+        if let Some(memo) =
+            state.steady_states.iter().find(|m| m.power_bits.iter().copied().eq(bits()))
+        {
+            temps.copy_from_slice(&memo.temps_k);
+            return;
+        }
+        solve(temps);
+        state.steady_solves += 1;
+        if state.steady_states.len() == MAX_STEADY_STATES {
+            state.steady_states.remove(0);
+        }
+        state
+            .steady_states
+            .push(SteadyState { power_bits: bits().collect(), temps_k: temps.into() });
+    }
+
+    /// Drops the model, every solver product and every memoized steady
+    /// state the share holds, keeping its counters: the sweep runner
+    /// calls it once the last cell of the share's group is done. A later
+    /// [`model`](Self::model) builds afresh.
     pub fn release(&self) {
         let mut state = self.lock();
         *state = ShareState {
@@ -151,6 +204,7 @@ impl FactorShare {
             symbolic_analyses: state.symbolic_analyses,
             factorizations: state.factorizations,
             hits: state.hits,
+            steady_solves: state.steady_solves,
             ..ShareState::default()
         };
     }
@@ -177,10 +231,18 @@ impl FactorShare {
     }
 
     /// Factor and eigenbasis requests served by adoption instead of
-    /// recomputation. Adopting the stack or the network is not one.
+    /// recomputation. Adopting the stack, the network or a memoized
+    /// steady state is not one.
     #[must_use]
     pub fn hits(&self) -> usize {
         self.lock().hits
+    }
+
+    /// Steady states solved through this share; a steady state copied
+    /// from the share's memo is not one.
+    #[must_use]
+    pub fn steady_solves(&self) -> usize {
+        self.lock().steady_solves
     }
 
     /// Distinct factors and eigenbases currently held (steady, one per
