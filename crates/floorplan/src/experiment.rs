@@ -214,12 +214,25 @@ impl std::error::Error for ParseExperimentError {}
 impl FromStr for Experiment {
     type Err = ParseExperimentError;
 
+    /// Accepts `exp1`..`exp4` or `1`..`4`, in any case and with hyphens
+    /// anywhere (`EXP-1`, the `Display` form). Matches in place: every
+    /// result line the sweep cache loads parses one.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().replace('-', "").as_str() {
-            "exp1" | "1" => Ok(Experiment::Exp1),
-            "exp2" | "2" => Ok(Experiment::Exp2),
-            "exp3" | "3" => Ok(Experiment::Exp3),
-            "exp4" | "4" => Ok(Experiment::Exp4),
+        // The longest accepted name has four bytes besides hyphens.
+        let mut name = [0u8; 4];
+        let mut len = 0;
+        for b in s.bytes().filter(|&b| b != b'-') {
+            let Some(slot) = name.get_mut(len) else {
+                return Err(ParseExperimentError(s.to_owned()));
+            };
+            *slot = b.to_ascii_lowercase();
+            len += 1;
+        }
+        match &name[..len] {
+            b"exp1" | b"1" => Ok(Experiment::Exp1),
+            b"exp2" | b"2" => Ok(Experiment::Exp2),
+            b"exp3" | b"3" => Ok(Experiment::Exp3),
+            b"exp4" | b"4" => Ok(Experiment::Exp4),
             _ => Err(ParseExperimentError(s.to_owned())),
         }
     }
@@ -345,5 +358,88 @@ mod tests {
         assert!(!Experiment::Exp2.has_split_layers());
         assert!(Experiment::Exp3.has_split_layers());
         assert!(!Experiment::Exp4.has_split_layers());
+    }
+
+    /// The reference the in-place match must reproduce: the accepted
+    /// names matched against a lowercased copy with its hyphens removed.
+    fn from_str_oracle(s: &str) -> Result<Experiment, ParseExperimentError> {
+        match s.to_ascii_lowercase().replace('-', "").as_str() {
+            "exp1" | "1" => Ok(Experiment::Exp1),
+            "exp2" | "2" => Ok(Experiment::Exp2),
+            "exp3" | "3" => Ok(Experiment::Exp3),
+            "exp4" | "4" => Ok(Experiment::Exp4),
+            _ => Err(ParseExperimentError(s.to_owned())),
+        }
+    }
+
+    mod parse_names {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// Every character an accepted name uses, in both cases, and a
+        /// few that none uses, one of them outside ASCII.
+        const ALPHABET: [char; 16] =
+            ['e', 'E', 'x', 'X', 'p', 'P', '-', '0', '1', '2', '3', '4', '5', '9', 'é', ' '];
+
+        /// Strings near an accepted name: `exp` (or nothing) in some
+        /// case, a digit, and up to two inserted characters, half of
+        /// them hyphens.
+        fn near_names() -> impl Strategy<Value = String> {
+            let digits = 7usize..14; // '0'..='9' in ALPHABET
+            (
+                0usize..2,
+                0usize..8,
+                digits,
+                prop::collection::vec((0usize..6, 0usize..2 * ALPHABET.len()), 0..3),
+            )
+                .prop_map(|(prefixed, upper, digit, inserts)| {
+                    let mut name: Vec<char> = "exp"
+                        .chars()
+                        .take(3 * prefixed)
+                        .enumerate()
+                        .map(|(i, c)| if upper >> i & 1 == 1 { c.to_ascii_uppercase() } else { c })
+                        .collect();
+                    name.push(ALPHABET[digit]);
+                    for (at, pick) in inserts {
+                        let c = ALPHABET.get(pick).copied().unwrap_or('-');
+                        name.insert(at % (name.len() + 1), c);
+                    }
+                    name.into_iter().collect()
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 4_000, ..ProptestConfig::default() })]
+            #[test]
+            fn from_str_matches_the_oracle(
+                near in near_names(),
+                random in prop::collection::vec(0usize..ALPHABET.len(), 0..9),
+            ) {
+                let random: String = random.into_iter().map(|i| ALPHABET[i]).collect();
+                for s in [near, random] {
+                    prop_assert_eq!(s.parse::<Experiment>(), from_str_oracle(&s), "{:?}", s);
+                }
+            }
+        }
+
+        #[test]
+        fn near_names_reach_every_outcome() {
+            // Without accepted inputs the property would compare errors
+            // only; count what the strategy draws.
+            let mut rng = proptest::TestRng::new(7);
+            let mut accepted = [0usize; 4];
+            let mut rejected = 0;
+            for _ in 0..4_000 {
+                match near_names().generate(&mut rng).parse::<Experiment>() {
+                    Ok(exp) => accepted[exp as usize] += 1,
+                    Err(_) => rejected += 1,
+                }
+            }
+            assert!(
+                accepted.iter().all(|&n| n > 100) && rejected > 1_000,
+                "{accepted:?} {rejected}"
+            );
+        }
     }
 }

@@ -24,6 +24,21 @@
 //! bit-flipped line, including truncation inside the final numeric
 //! field, which plain field counting would miss.
 //!
+//! # What a load checks
+//!
+//! One pass over each line hashes its body and notes where its 20 tabs
+//! are. The line then loads only when
+//!
+//! * the text after the 20th tab is the hex FNV-64 of the body before
+//!   it (a 21st tab lands in that text and fails the parse, so the
+//!   count of fields is checked too);
+//! * the first field is the format tag;
+//! * the key field is the hex FNV-64 of the unescaped descriptor;
+//! * the policy unescapes and every other field parses.
+//!
+//! Escaped text is copied a run of plain characters at a time, so an
+//! intact line costs two allocations: its descriptor and its policy.
+//!
 //! # Key derivation and invalidation
 //!
 //! The key is a 64-bit FNV-1a hash of the canonical descriptor string,
@@ -43,6 +58,7 @@
 //!   cell's numbers.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -87,6 +103,15 @@ pub const STORE_FILE: &str = "results.tsv";
 
 const LINE_TAG: &str = "therm3d-cache-v1";
 
+/// Tab-separated fields of a store line: tag, key, descriptor, policy,
+/// experiment, the 15 numbers of a `RunResult`, and the checksum.
+const LINE_FIELDS: usize = 21;
+
+/// The widest a number field of a store line can be: a float's `{:?}`
+/// form takes at most 24 bytes (`-2.2250738585072014e-308`), a count at
+/// most 20 digits, and the experiment's label 5 (`EXP-1`).
+const NUMBER_FIELDS_MAX_LEN: usize = 12 * 24 + 3 * 20 + 5;
+
 /// The content-addressed identity of one sweep cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellKey {
@@ -108,14 +133,22 @@ impl CellKey {
     }
 }
 
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one byte into a running FNV-1a hash. [`fnv1a64`] and the line
+/// decoder's scan both hash through it, so the two cannot drift.
+fn fnv1a64_step(h: u64, byte: u8) -> u64 {
+    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// 64-bit FNV-1a over `bytes` (stable across platforms and builds; the
 /// std hasher is neither).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = fnv1a64_step(h, b);
     }
     h
 }
@@ -274,8 +307,15 @@ impl CacheStore {
                     .map_err(|e| io_err(&self.path, &e))?,
             );
         }
-        let lead = if std::mem::take(&mut self.needs_leading_newline) { "\n" } else { "" };
-        let line = format!("{lead}{}\n", encode_entry(key, result));
+        let lead = std::mem::take(&mut self.needs_leading_newline);
+        let mut line = String::with_capacity(
+            usize::from(lead) + entry_len_bound(&key.descriptor, &result.policy) + 1,
+        );
+        if lead {
+            line.push('\n');
+        }
+        write_entry(&mut line, key.hash, &key.descriptor, result);
+        line.push('\n');
         let file = self.appender.as_mut().expect("appender opened above");
         file.write_all(line.as_bytes()).map_err(|e| io_err(&self.path, &e))?;
         self.entries.insert(key.hash, (key.descriptor.clone(), result.clone()));
@@ -382,8 +422,7 @@ impl CacheStore {
                 stats.dropped_stale += 1;
                 continue;
             }
-            let key = CellKey { hash, descriptor: descriptor.clone() };
-            out.push_str(&encode_entry(&key, result));
+            write_entry(&mut out, hash, descriptor, result);
             out.push('\n');
             stats.kept += 1;
         }
@@ -428,56 +467,78 @@ impl std::fmt::Display for CompactStats {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
+/// Whether the line codec escapes `b`: the field and line separators,
+/// a carriage return (which `str::lines` would strip) and the escape
+/// character itself.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'\\' | b'\t' | b'\n' | b'\r')
 }
 
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
+/// The length of `s` once escaped.
+fn escaped_len(s: &str) -> usize {
+    s.len() + s.bytes().filter(|&b| needs_escape(b)).count()
+}
+
+/// Appends `s` to `out` escaped, copying each run of plain characters
+/// whole.
+fn escape_into(out: &mut String, mut s: &str) {
+    while let Some(i) = s.bytes().position(needs_escape) {
+        out.push_str(&s[..i]);
+        out.push_str(match s.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        s = &s[i + 1..];
     }
+    out.push_str(s);
+}
+
+/// Reverses [`escape_into`], copying each run of plain characters
+/// whole; `None` when a backslash starts no escape.
+fn unescape(mut s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    while let Some(i) = s.find('\\') {
+        out.push_str(&s[..i]);
+        out.push(match s.as_bytes().get(i + 1)? {
+            b'\\' => '\\',
+            b't' => '\t',
+            b'n' => '\n',
+            b'r' => '\r',
+            _ => return None,
+        });
+        // The escape is two ASCII bytes, so the rest starts on a char.
+        s = &s[i + 2..];
+    }
+    out.push_str(s);
     Some(out)
 }
 
-/// Serializes one entry line. Floats use `{:?}` (shortest form that
-/// parses back to the identical bits), so decode ∘ encode is identity.
-/// The trailing field is an FNV-64 checksum of everything before it:
-/// field counting alone cannot detect a line truncated *inside* its
-/// final number, and serving such an entry would silently report a
-/// wrong value.
-fn encode_entry(key: &CellKey, r: &RunResult) -> String {
-    let body = encode_body(key, r);
-    format!("{body}\t{:016x}", fnv1a64(body.as_bytes()))
+/// The most bytes [`write_entry`] appends for a descriptor and policy:
+/// their escaped lengths exactly, every number at its widest. A buffer
+/// of this capacity never grows while the line is written.
+fn entry_len_bound(descriptor: &str, policy: &str) -> usize {
+    // The tag, the 16-digit key and checksum, and the tabs between fields.
+    let fixed = LINE_TAG.len() + 2 * 16 + (LINE_FIELDS - 1);
+    fixed + escaped_len(descriptor) + escaped_len(policy) + NUMBER_FIELDS_MAX_LEN
 }
 
-fn encode_body(key: &CellKey, r: &RunResult) -> String {
-    format!(
-        "{LINE_TAG}\t{}\t{}\t{}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{}",
-        key.hex(),
-        escape(&key.descriptor),
-        escape(&r.policy),
+/// Appends one entry line (no newline) to `out`. Floats use `{:?}`
+/// (shortest form that parses back to the identical bits), so decode ∘
+/// encode is identity. The trailing field is an FNV-64 checksum of
+/// everything before it: field counting alone cannot detect a line
+/// truncated *inside* its final number, and serving such an entry
+/// would silently report a wrong value.
+fn write_entry(out: &mut String, hash: u64, descriptor: &str, r: &RunResult) {
+    let start = out.len();
+    let _ = write!(out, "{LINE_TAG}\t{hash:016x}\t");
+    escape_into(out, descriptor);
+    out.push('\t');
+    escape_into(out, &r.policy);
+    let _ = write!(
+        out,
+        "\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{}",
         r.experiment,
         r.duration_s,
         r.hotspot_pct,
@@ -494,49 +555,71 @@ fn encode_body(key: &CellKey, r: &RunResult) -> String {
         r.mean_power_w,
         r.migrations,
         r.unfinished,
-    )
+    );
+    let checksum = fnv1a64(&out.as_bytes()[start..]);
+    let _ = write!(out, "\t{checksum:016x}");
 }
 
 /// Parses one entry line; `None` for anything malformed, partial or
-/// bit-flipped (the trailing checksum must match the body).
+/// bit-flipped (the module doc lists the checks).
 fn decode_entry(line: &str) -> Option<(u64, String, RunResult)> {
-    let (body, checksum) = line.rsplit_once('\t')?;
-    if u64::from_str_radix(checksum, 16) != Ok(fnv1a64(body.as_bytes())) {
+    // One pass hashes the body, everything before the last tab, and
+    // notes each tab. It stops at the last tab a line may hold: any
+    // later one is left in the checksum field, which then fails to
+    // parse as hex.
+    let mut tabs = [0usize; LINE_FIELDS - 1];
+    let (mut found, mut body_hash) = (0, FNV_OFFSET);
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        if b == b'\t' {
+            tabs[found] = i;
+            found += 1;
+            if found == tabs.len() {
+                break;
+            }
+        }
+        body_hash = fnv1a64_step(body_hash, b);
+    }
+    if found != tabs.len() {
         return None;
     }
-    let fields: Vec<&str> = body.split('\t').collect();
-    let [tag, key_hex, descriptor, policy, experiment, rest @ ..] = &fields[..] else {
+    let checksum = &line[tabs[tabs.len() - 1] + 1..];
+    if u64::from_str_radix(checksum, 16) != Ok(body_hash) {
         return None;
+    }
+    // Field `k` ends at tab `k` and starts after the one before it.
+    let field = |k: usize| {
+        let start = if k == 0 { 0 } else { tabs[k - 1] + 1 };
+        &line[start..tabs[k]]
     };
-    if *tag != LINE_TAG || rest.len() != 15 {
+    if field(0) != LINE_TAG {
         return None;
     }
-    let hash = u64::from_str_radix(key_hex, 16).ok()?;
-    let descriptor = unescape(descriptor)?;
+    let hash = u64::from_str_radix(field(1), 16).ok()?;
+    let descriptor = unescape(field(2))?;
     if hash != fnv1a64(descriptor.as_bytes()) {
         return None; // truncated/edited line
     }
-    let f = |i: usize| rest[i].parse::<f64>().ok();
+    let f = |k: usize| field(k).parse::<f64>().ok();
     let result = RunResult {
-        policy: unescape(policy)?,
-        experiment: experiment.parse::<Experiment>().ok()?,
-        duration_s: f(0)?,
-        hotspot_pct: f(1)?,
-        gradient_pct: f(2)?,
-        cycle_pct: f(3)?,
-        vertical_peak_c: f(4)?,
-        vertical_mean_c: f(5)?,
-        peak_temp_c: f(6)?,
+        policy: unescape(field(3))?,
+        experiment: field(4).parse::<Experiment>().ok()?,
+        duration_s: f(5)?,
+        hotspot_pct: f(6)?,
+        gradient_pct: f(7)?,
+        cycle_pct: f(8)?,
+        vertical_peak_c: f(9)?,
+        vertical_mean_c: f(10)?,
+        peak_temp_c: f(11)?,
         perf: PerformanceStats {
-            completed: rest[7].parse().ok()?,
-            mean_turnaround_s: f(8)?,
-            max_turnaround_s: f(9)?,
-            total_turnaround_s: f(10)?,
+            completed: field(12).parse().ok()?,
+            mean_turnaround_s: f(13)?,
+            max_turnaround_s: f(14)?,
+            total_turnaround_s: f(15)?,
         },
-        energy_j: f(11)?,
-        mean_power_w: f(12)?,
-        migrations: rest[13].parse().ok()?,
-        unfinished: rest[14].parse().ok()?,
+        energy_j: f(16)?,
+        mean_power_w: f(17)?,
+        migrations: field(18).parse().ok()?,
+        unfinished: field(19).parse().ok()?,
     };
     Some((hash, descriptor, result))
 }
@@ -550,7 +633,9 @@ fn decode_entry(line: &str) -> Option<(u64, String, RunResult)> {
 /// detection and byte-exactness for free.
 #[must_use]
 pub fn encode_line(key: &CellKey, result: &RunResult) -> String {
-    encode_entry(key, result)
+    let mut line = String::with_capacity(entry_len_bound(&key.descriptor, &result.policy));
+    write_entry(&mut line, key.hash, &key.descriptor, result);
+    line
 }
 
 /// Parses a line produced by [`encode_line`], reconstructing the full
@@ -646,7 +731,7 @@ mod tests {
         let spec = spec();
         let key = cell_key(&spec, &expand(&spec)[0]);
         let r = result("Adapt3D&DVFS_TT+DPM");
-        let (hash, descriptor, decoded) = decode_entry(&encode_entry(&key, &r)).unwrap();
+        let (hash, descriptor, decoded) = decode_entry(&encode_line(&key, &r)).unwrap();
         assert_eq!(hash, key.hash);
         assert_eq!(descriptor, key.descriptor);
         assert_eq!(decoded, r, "every f64 must survive exactly");
@@ -660,7 +745,7 @@ mod tests {
         let key = cell_key(&spec, &expand(&spec)[0]);
         let mut r = result("Default");
         r.unfinished = 1234;
-        let line = encode_entry(&key, &r);
+        let line = encode_line(&key, &r);
         assert!(decode_entry(&line).is_some());
         // Rebuild a "crashed mid-append" line: drop the checksum field
         // and two digits of the last number, then re-count fields.
@@ -825,9 +910,404 @@ mod tests {
     #[test]
     fn escape_round_trips_awkward_strings() {
         for s in ["plain", "tab\there", "line\nbreak", "back\\slash", "cr\rlf", ""] {
-            assert_eq!(unescape(&escape(s)).as_deref(), Some(s));
+            let mut escaped = String::new();
+            escape_into(&mut escaped, s);
+            assert_eq!(escaped.len(), escaped_len(s));
+            assert_eq!(unescape(&escaped).as_deref(), Some(s));
         }
         assert_eq!(unescape("bad\\x"), None);
         assert_eq!(unescape("trailing\\"), None);
+    }
+
+    #[test]
+    fn the_widest_numbers_fit_the_line_bound() {
+        // The widest `{:?}` forms: 17 significant digits in exponent
+        // form with a negative sign and exponent (24 bytes), and the
+        // longest plain decimals, just above 1e-4 and just below 1e16.
+        let widest =
+            [-f64::MIN_POSITIVE, f64::MIN, -1.000_000_000_000_000_2e-4, -9.999_999_999_999_998e15];
+        assert_eq!(widest.map(|x| format!("{x:?}").len()), [24, 23, 23, 19]);
+        for x in widest {
+            let r = RunResult {
+                policy: "\\\t\n\r".to_owned(),
+                experiment: Experiment::Exp4,
+                duration_s: x,
+                hotspot_pct: x,
+                gradient_pct: x,
+                cycle_pct: x,
+                vertical_peak_c: x,
+                vertical_mean_c: x,
+                peak_temp_c: x,
+                perf: PerformanceStats {
+                    completed: usize::MAX,
+                    mean_turnaround_s: x,
+                    max_turnaround_s: x,
+                    total_turnaround_s: x,
+                },
+                energy_j: x,
+                mean_power_w: x,
+                migrations: u64::MAX,
+                unfinished: usize::MAX,
+            };
+            let spec = spec();
+            let key = cell_key_salted(&spec, &expand(&spec)[0], "salt\twith\\escapes");
+            let bound = entry_len_bound(&key.descriptor, &r.policy);
+            let line = encode_line(&key, &r);
+            assert!(line.len() <= bound, "{} > {bound}: {line}", line.len());
+            assert_eq!(line, oracle::encode_entry(&key, &r));
+        }
+    }
+
+    /// The reference codec: each field escaped into a string of its
+    /// own, the body formatted and then hashed, and a decode that splits
+    /// the line into a vector of fields. The production codec must match
+    /// it byte for byte and verdict for verdict.
+    mod oracle {
+        use therm3d::metrics::PerformanceStats;
+        use therm3d::RunResult;
+        use therm3d_floorplan::Experiment;
+
+        use super::super::{fnv1a64, CellKey, LINE_TAG};
+
+        fn escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\t' => out.push_str("\\t"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn unescape(s: &str) -> Option<String> {
+            let mut out = String::with_capacity(s.len());
+            let mut chars = s.chars();
+            while let Some(c) = chars.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                match chars.next()? {
+                    '\\' => out.push('\\'),
+                    't' => out.push('\t'),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    _ => return None,
+                }
+            }
+            Some(out)
+        }
+
+        pub fn encode_entry(key: &CellKey, r: &RunResult) -> String {
+            let body = encode_body(key, r);
+            format!("{body}\t{:016x}", fnv1a64(body.as_bytes()))
+        }
+
+        fn encode_body(key: &CellKey, r: &RunResult) -> String {
+            format!(
+                "{LINE_TAG}\t{}\t{}\t{}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{:?}\t{:?}\t{:?}\t{:?}\t{:?}\t{}\t{}",
+                key.hex(),
+                escape(&key.descriptor),
+                escape(&r.policy),
+                r.experiment,
+                r.duration_s,
+                r.hotspot_pct,
+                r.gradient_pct,
+                r.cycle_pct,
+                r.vertical_peak_c,
+                r.vertical_mean_c,
+                r.peak_temp_c,
+                r.perf.completed,
+                r.perf.mean_turnaround_s,
+                r.perf.max_turnaround_s,
+                r.perf.total_turnaround_s,
+                r.energy_j,
+                r.mean_power_w,
+                r.migrations,
+                r.unfinished,
+            )
+        }
+
+        pub fn decode_entry(line: &str) -> Option<(u64, String, RunResult)> {
+            let (body, checksum) = line.rsplit_once('\t')?;
+            if u64::from_str_radix(checksum, 16) != Ok(fnv1a64(body.as_bytes())) {
+                return None;
+            }
+            let fields: Vec<&str> = body.split('\t').collect();
+            let [tag, key_hex, descriptor, policy, experiment, rest @ ..] = &fields[..] else {
+                return None;
+            };
+            if *tag != LINE_TAG || rest.len() != 15 {
+                return None;
+            }
+            let hash = u64::from_str_radix(key_hex, 16).ok()?;
+            let descriptor = unescape(descriptor)?;
+            if hash != fnv1a64(descriptor.as_bytes()) {
+                return None;
+            }
+            let f = |i: usize| rest[i].parse::<f64>().ok();
+            let result = RunResult {
+                policy: unescape(policy)?,
+                experiment: experiment.parse::<Experiment>().ok()?,
+                duration_s: f(0)?,
+                hotspot_pct: f(1)?,
+                gradient_pct: f(2)?,
+                cycle_pct: f(3)?,
+                vertical_peak_c: f(4)?,
+                vertical_mean_c: f(5)?,
+                peak_temp_c: f(6)?,
+                perf: PerformanceStats {
+                    completed: rest[7].parse().ok()?,
+                    mean_turnaround_s: f(8)?,
+                    max_turnaround_s: f(9)?,
+                    total_turnaround_s: f(10)?,
+                },
+                energy_j: f(11)?,
+                mean_power_w: f(12)?,
+                migrations: rest[13].parse().ok()?,
+                unfinished: rest[14].parse().ok()?,
+            };
+            Some((hash, descriptor, result))
+        }
+    }
+
+    mod matches_the_oracle {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// Policy names and key salts: plain, empty, and every character
+        /// the line codec must escape (those of `tests/codec_props.rs`).
+        const TEXT: [&str; 10] = [
+            "Default",
+            "Adapt3D-DVFS-TT",
+            "",
+            "tab\there",
+            "new\nline",
+            "cr\r",
+            "back\\slash",
+            "\\t",
+            "µs é",
+            "\u{1}",
+        ];
+
+        /// Field texts spliced into lines: the tag, numbers and
+        /// near-numbers, experiment names, hex with and without a sign,
+        /// and escapes good and bad.
+        const PIECES: [&str; 24] = [
+            LINE_TAG,
+            "",
+            "0",
+            "1.5",
+            "-0.0",
+            "NaN",
+            "inf",
+            "1e400",
+            "+7",
+            "-3",
+            "18446744073709551616",
+            "EXP-2",
+            "exp9",
+            "3",
+            "Default",
+            "a\\tb",
+            "bad\\q",
+            "end\\",
+            "\\\\",
+            "é",
+            "ffffffffffffffff",
+            "+ff",
+            "0x10",
+            " 1",
+        ];
+
+        /// The key of cell `cell` of [`spec`] under salt `TEXT[salt]`.
+        fn key(cell: usize, salt: usize) -> CellKey {
+            let spec = spec();
+            let cells = expand(&spec);
+            cell_key_salted(&spec, &cells[cell % cells.len()], TEXT[salt])
+        }
+
+        /// Random results: any policy text, any experiment, any finite
+        /// floats (subnormals and signed zeros included) and any counts.
+        fn results() -> impl Strategy<Value = RunResult> {
+            let finite = |bits: u64| {
+                let x = f64::from_bits(bits);
+                if x.is_finite() {
+                    x
+                } else {
+                    f64::from_bits(bits & !(0x7ff << 52))
+                }
+            };
+            (
+                0usize..TEXT.len(),
+                0usize..Experiment::ALL.len(),
+                prop::collection::vec(0u64..u64::MAX, 12),
+                (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            )
+                .prop_map(
+                    move |(policy, experiment, bits, (completed, migrations, unfinished))| {
+                        let f: Vec<f64> = bits.into_iter().map(finite).collect();
+                        RunResult {
+                            policy: TEXT[policy].to_owned(),
+                            experiment: Experiment::ALL[experiment],
+                            duration_s: f[0],
+                            hotspot_pct: f[1],
+                            gradient_pct: f[2],
+                            cycle_pct: f[3],
+                            vertical_peak_c: f[4],
+                            vertical_mean_c: f[5],
+                            peak_temp_c: f[6],
+                            perf: PerformanceStats {
+                                completed: completed as usize,
+                                mean_turnaround_s: f[7],
+                                max_turnaround_s: f[8],
+                                total_turnaround_s: f[9],
+                            },
+                            energy_j: f[10],
+                            mean_power_w: f[11],
+                            migrations,
+                            unfinished: unfinished as usize,
+                        }
+                    },
+                )
+        }
+
+        /// A decode with every float as bits, so that `0.0` and `-0.0`
+        /// differ and a NaN equals itself.
+        type Decoded = Option<(u64, String, String, Experiment, Vec<u64>, [u64; 3])>;
+
+        fn bits(decoded: Option<(u64, String, RunResult)>) -> Decoded {
+            decoded.map(|(hash, descriptor, r)| {
+                let floats = [
+                    r.duration_s,
+                    r.hotspot_pct,
+                    r.gradient_pct,
+                    r.cycle_pct,
+                    r.vertical_peak_c,
+                    r.vertical_mean_c,
+                    r.peak_temp_c,
+                    r.perf.mean_turnaround_s,
+                    r.perf.max_turnaround_s,
+                    r.perf.total_turnaround_s,
+                    r.energy_j,
+                    r.mean_power_w,
+                ];
+                let counts = [r.perf.completed as u64, r.migrations, r.unfinished as u64];
+                (
+                    hash,
+                    descriptor,
+                    r.policy,
+                    r.experiment,
+                    floats.map(f64::to_bits).to_vec(),
+                    counts,
+                )
+            })
+        }
+
+        /// Applies `(op, position, value)` damage to `line`'s bytes: flip
+        /// bit `value % 8` of a byte, truncate, or insert a tab. Flips
+        /// can break UTF-8; the result is read back lossily.
+        fn damage(line: &str, edits: &[(usize, usize, u64)]) -> String {
+            let mut bytes = line.as_bytes().to_vec();
+            for &(op, pos, value) in edits {
+                match op {
+                    0 if !bytes.is_empty() => {
+                        let at = pos % bytes.len();
+                        bytes[at] ^= 1 << (value % 8);
+                    }
+                    1 => bytes.truncate(pos % (bytes.len() + 1)),
+                    _ => bytes.insert(pos % (bytes.len() + 1), b'\t'),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+
+        /// Lines whose fields were replaced, dropped or added from
+        /// [`PIECES`]. Three in four are sealed with their body's
+        /// checksum, and one in four of those is re-keyed to its
+        /// descriptor, so that the checks past those two run too.
+        fn spliced_lines() -> impl Strategy<Value = String> {
+            (
+                results(),
+                (0usize..8, 0usize..TEXT.len()),
+                prop::collection::vec(
+                    (0usize..3, 0usize..LINE_FIELDS + 1, 0usize..PIECES.len()),
+                    1..4,
+                ),
+                (0usize..4, 0usize..PIECES.len()),
+            )
+                .prop_map(|(result, (cell, salt), edits, (seal, piece))| {
+                    let line = encode_line(&key(cell, salt), &result);
+                    let mut fields: Vec<String> = line.split('\t').map(str::to_owned).collect();
+                    fields.pop();
+                    for (op, at, edit) in edits {
+                        let at = at % (fields.len() + 1);
+                        match op {
+                            0 if at < fields.len() => fields[at] = PIECES[edit].to_owned(),
+                            1 if at < fields.len() => drop(fields.remove(at)),
+                            _ => fields.insert(at, PIECES[edit].to_owned()),
+                        }
+                    }
+                    if seal == 3 && fields.len() > 2 {
+                        if let Some(descriptor) = unescape(&fields[2]) {
+                            fields[1] = format!("{:016x}", fnv1a64(descriptor.as_bytes()));
+                        }
+                    }
+                    let body = fields.join("\t");
+                    let checksum = match seal {
+                        0 => PIECES[piece].to_owned(),
+                        _ => format!("{:016x}", fnv1a64(body.as_bytes())),
+                    };
+                    format!("{body}\t{checksum}")
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 5_000, ..ProptestConfig::default() })]
+
+            #[test]
+            fn encodings_and_their_decodes_match(
+                result in results(),
+                (cell, salt) in (0usize..8, 0usize..TEXT.len()),
+            ) {
+                let key = key(cell, salt);
+                let line = encode_line(&key, &result);
+                prop_assert_eq!(&line, &oracle::encode_entry(&key, &result));
+                prop_assert!(line.len() <= entry_len_bound(&key.descriptor, &result.policy));
+                let decoded = bits(decode_entry(&line));
+                prop_assert!(decoded.is_some(), "{:?}", line);
+                prop_assert_eq!(decoded, bits(oracle::decode_entry(&line)));
+            }
+
+            #[test]
+            fn damaged_lines_decode_as_the_oracle_does(
+                result in results(),
+                (cell, salt) in (0usize..8, 0usize..TEXT.len()),
+                edits in prop::collection::vec((0usize..3, 0usize..4096, 0u64..8), 1..4),
+            ) {
+                let damaged = damage(&encode_line(&key(cell, salt), &result), &edits);
+                prop_assert_eq!(
+                    bits(decode_entry(&damaged)),
+                    bits(oracle::decode_entry(&damaged)),
+                    "{:?}",
+                    damaged
+                );
+            }
+
+            #[test]
+            fn spliced_lines_decode_as_the_oracle_does(line in spliced_lines()) {
+                prop_assert_eq!(
+                    bits(decode_entry(&line)),
+                    bits(oracle::decode_entry(&line)),
+                    "{:?}",
+                    line
+                );
+            }
+        }
     }
 }

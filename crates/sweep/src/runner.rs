@@ -329,7 +329,8 @@ fn run_selected(
     let expand_us = elapsed_us(t_expand);
 
     // Lookup-before-simulate: hits fill their slot immediately, misses
-    // form the pending work list for the workers.
+    // form the pending work list for the workers. Each lookup is timed
+    // only for the telemetry that reports it.
     let mut results: Vec<Option<Result<RunResult, String>>> = vec![None; cells.len()];
     let mut lookup_us: Vec<u64> = Vec::new();
     let cache_attached = cache.is_some();
@@ -340,9 +341,11 @@ fn run_selected(
                 clippy::disallowed_methods,
                 reason = "cache-lookup telemetry only: never feeds results"
             )]
-            let t = Instant::now();
+            let t = telemetry.map(|_| Instant::now());
             *slot = store.lookup(key).map(Ok);
-            lookup_us.push(elapsed_us(t));
+            if let Some(t) = t {
+                lookup_us.push(elapsed_us(t));
+            }
         }
     }
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| results[i].is_none()).collect();
