@@ -4,8 +4,7 @@
 //!
 //! The dynamic comparison is one declarative sweep over the engine's
 //! `stack_orders` axis (experiments × orientations), executed in
-//! parallel and memoized under `THERM3D_CACHE_DIR` like the figure
-//! binaries — the hand-rolled per-orientation loop is gone.
+//! parallel and memoized under `THERM3D_CACHE_DIR`.
 
 use therm3d_floorplan::{Experiment, StackOrder};
 use therm3d_policies::PolicyKind;

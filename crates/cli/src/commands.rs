@@ -9,7 +9,7 @@ use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
 use therm3d_power::{CorePowerInput, PowerModel, PowerParams, VfTable};
 use therm3d_reliability::ReliabilityReport;
-use therm3d_sweep::{csv_header, csv_row, expand, sim_config, SweepSpec};
+use therm3d_sweep::{csv_header, csv_row, expand, sim_config, SweepReport, SweepSpec};
 use therm3d_thermal::{ThermalConfig, ThermalModel};
 use therm3d_workload::{stream_mix, Benchmark, JobSource, TraceConfig};
 
@@ -112,11 +112,7 @@ fn run_sweep_file(
     let out = {
         // Report rendering is part of the per-run timing story.
         let _span = therm3d_telemetry::Span::enter("report.render_us");
-        match format {
-            SweepFormat::Table => report.render(),
-            SweepFormat::Csv => report.csv(),
-            SweepFormat::Json => report.json(),
-        }
+        render(&report, format)
     };
     if let Some(out_path) = telemetry_opts.metrics_out {
         // The run-local snapshot (deterministic counters + per-cell
@@ -133,6 +129,15 @@ fn run_sweep_file(
         _ => None,
     };
     Ok((out, stats))
+}
+
+/// A sweep report in the format `sweep` and `serve` were asked for.
+fn render(report: &SweepReport, format: SweepFormat) -> String {
+    match format {
+        SweepFormat::Table => report.render(),
+        SweepFormat::Csv => report.csv(),
+        SweepFormat::Json => report.json(),
+    }
 }
 
 /// Renders the `check` preflight report: spec validity, canonical
@@ -388,11 +393,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             };
             let reporter = progress.then(therm3d_telemetry::Progress::stderr);
             let report = server.run(store.as_mut(), reporter)?;
-            out.push_str(&match format {
-                SweepFormat::Table => report.render(),
-                SweepFormat::Csv => report.csv(),
-                SweepFormat::Json => report.json(),
-            });
+            out.push_str(&render(&report, *format));
         }
         Command::Work { connect, threads, cache_dir, throttle_ms } => {
             let opts = therm3d_coord::WorkOptions {

@@ -117,7 +117,8 @@ impl RunResult {
         self.perf.normalized_vs(&baseline.perf)
     }
 
-    /// A fixed-width table row (used by the figure binaries).
+    /// A fixed-width table row (`therm3d run` and the sweep table
+    /// report).
     #[must_use]
     pub fn table_row(&self) -> String {
         format!(

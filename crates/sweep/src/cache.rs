@@ -330,7 +330,7 @@ impl CacheStore {
     }
 
     /// One human-readable counters line, shared by every surface that
-    /// reports cache activity (the CLI's `--cache-stats`, the figure
+    /// reports cache activity (the CLI's `--cache-stats`, the ablation
     /// binaries' stderr note) so the formats cannot drift.
     #[must_use]
     pub fn summary(&self) -> String {

@@ -37,8 +37,10 @@
 //! simulation panicked (named, instead of poisoning the whole
 //! campaign), or a cache I/O problem.
 //!
-//! The figure binaries (`fig3`..`fig6`) and the `therm3d sweep`
-//! subcommand are thin layers over this crate.
+//! The `therm3d` CLI (`sweep`, `check`, `serve`) and the ablation
+//! binaries are thin layers over this crate. The paper's Figures 3–6
+//! are two spec files, `examples/paper_fig3.toml` and
+//! `examples/paper_fig4_6.toml`.
 //!
 //! # Quick start
 //!

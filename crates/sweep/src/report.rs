@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 
 use therm3d::RunResult;
 use therm3d_floorplan::Experiment;
+use therm3d_telemetry::Json;
 
 use crate::matrix::SweepCell;
 
@@ -89,29 +90,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The results for one (experiment, dpm, seed-axis position) group,
-    /// in the spec's policy order — the shape one figure column needs.
-    ///
-    /// Rows of every integrator **and every scenario combination**
-    /// (stack order × TSV variant × sensor profile) on the spec's axes
-    /// are included: the figure sweeps all use single-valued scenario
-    /// and integrator axes, and multi-scenario campaigns (like the
-    /// ported ablation binaries) filter `rows` directly — calling
-    /// `group` on such a report would interleave scenarios into one
-    /// column.
-    #[must_use]
-    pub fn group(&self, experiment: Experiment, dpm: bool, seed_index: usize) -> Vec<&RunResult> {
-        self.rows
-            .iter()
-            .filter(|r| {
-                r.cell.experiment == experiment
-                    && r.cell.dpm == dpm
-                    && r.cell.seed_index == seed_index
-            })
-            .map(|r| &r.result)
-            .collect()
-    }
-
     /// CSV export: [`sweep_csv_header`], one line per cell in canonical
     /// order. Identical for every thread count and for any cache
     /// hit/miss mix (`cell_key` is derived from the spec, not from how
@@ -138,13 +116,15 @@ impl SweepReport {
     }
 
     /// JSON export: `{"name": .., "rows": [{..}, ..]}` with one object
-    /// per cell. Hand-rolled (the offline dependency set has no serde);
-    /// policy labels and names are escaped as JSON strings.
+    /// per cell. Laid out by hand (the offline dependency set has no
+    /// serde); strings go through telemetry's [`Json`] escaper and
+    /// floats keep six fixed decimals.
     #[must_use]
     pub fn json(&self) -> String {
+        let string = |s: &str| Json::Str(s.to_owned()).compact();
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
+        let _ = writeln!(out, "  \"name\": {},", string(&self.name));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let r = &row.result;
@@ -158,14 +138,14 @@ impl SweepReport {
                  \"mean_turnaround_s\": {}, \"completed\": {}, \"energy_j\": {}, \
                  \"mean_power_w\": {}, \"migrations\": {}, \"unfinished\": {}}}",
                 row.cell.index,
-                json_string(&row.key),
-                json_string(&r.experiment.to_string()),
-                json_string(&r.policy),
+                string(&row.key),
+                string(&r.experiment.to_string()),
+                string(&r.policy),
                 row.cell.dpm,
-                json_string(row.cell.integrator.name()),
-                json_string(row.cell.stack_order.name()),
-                json_string(row.cell.tsv.name()),
-                json_string(row.cell.sensor.name()),
+                string(row.cell.integrator.name()),
+                string(row.cell.stack_order.name()),
+                string(row.cell.tsv.name()),
+                string(row.cell.sensor.name()),
                 row.cell.trace_seed,
                 json_f64(r.hotspot_pct),
                 json_f64(r.gradient_pct),
@@ -276,26 +256,6 @@ impl SweepReport {
         }
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_f64(v: f64) -> String {
@@ -421,11 +381,184 @@ mod tests {
     }
 
     #[test]
-    fn group_preserves_policy_order() {
-        let report = fake_report();
-        let group = report.group(Experiment::Exp1, false, 0);
-        assert_eq!(group.len(), 2);
-        assert_eq!(group[0].policy, "Default");
-        assert_eq!(group[1].policy, "Adapt3D");
+    fn json_escapes_the_name_as_before_and_parses_back() {
+        let mut report = fake_report();
+        report.name = "q\"b\\n\nt\tr\r\u{1}é".to_owned();
+        let json = report.json();
+        assert_eq!(json.lines().nth(1), Some(r#"  "name": "q\"b\\n\nt\tr\r\u0001é","#));
+        let parsed = Json::parse(&json).unwrap();
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some(report.name.as_str()));
+    }
+
+    /// The formatter of the deleted `fig3`..`fig6` binaries, verbatim: the
+    /// oracle for the figure values [`SweepReport::render`] prints.
+    fn format_figure(
+        title: &str,
+        metric_name: &str,
+        metric: impl Fn(&RunResult) -> f64,
+        results: &[(Experiment, Vec<RunResult>)],
+        with_perf: bool,
+    ) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(out, "{title}");
+        let _ = write!(out, "{:<20}", "policy");
+        for (exp, _) in results {
+            let _ = write!(out, " {:>9}", format!("{exp}"));
+        }
+        if with_perf {
+            for (exp, _) in results {
+                let _ = write!(out, " {:>10}", format!("perf:{exp}"));
+            }
+        }
+        let _ = writeln!(out);
+        for (row, kind) in PolicyKind::ALL.iter().enumerate() {
+            let _ = write!(out, "{:<20}", kind.label());
+            for (_, runs) in results {
+                let _ = write!(out, " {:>9.2}", metric(&runs[row]));
+            }
+            if with_perf {
+                for (_, runs) in results {
+                    let norm = runs[row].normalized_performance_vs(&runs[0]);
+                    let _ = write!(out, " {:>10.3}", norm);
+                }
+            }
+            let _ = writeln!(out);
+        }
+        let _ = writeln!(out, "({metric_name})");
+        out
+    }
+
+    /// xorshift64, so the figure test draws its values without a
+    /// dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A value in [0, `below`) with `decimals` decimals, or next to the
+    /// rounding edge halfway between two such values.
+    fn edge_value(state: &mut u64, decimals: u32, below: u64) -> f64 {
+        let steps = below * 10_u64.pow(decimals);
+        let step = 1.0 / 10_u64.pow(decimals) as f64;
+        (next(state) % steps) as f64 * step
+            + match next(state) % 4 {
+                0 => 0.0,
+                1 => step / 2.0,
+                2 => step / 2.0 - 1e-9,
+                _ => step / 2.0 + 1e-9,
+            }
+    }
+
+    /// One group of a rendered table: its heading's experiment and DPM
+    /// flag, then each row's `hot%`, `grad%`, `cycle%` and `perf=` cells.
+    type Group = (String, bool, Vec<[String; 4]>);
+
+    fn table_cells(text: &str) -> Vec<Group> {
+        let mut groups: Vec<Group> = Vec::new();
+        for line in text.lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            if let Some(head) = line.strip_prefix("== ") {
+                let mut head = head.split_whitespace();
+                let experiment = head.next().unwrap().to_owned();
+                groups.push((experiment, head.next() == Some("+DPM"), Vec::new()));
+            } else if let (Some(group), [_, hot, grad, cycle, .., perf]) =
+                (groups.last_mut(), words.as_slice())
+            {
+                if let Some(perf) = perf.strip_prefix("perf=") {
+                    group.2.push([hot, grad, cycle, &perf].map(|s| (*s).to_owned()));
+                }
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn table_report_prints_every_value_of_the_figure_binaries() {
+        let spec = SweepSpec::new("figures")
+            .with_experiments(&Experiment::ALL)
+            .with_policies(&PolicyKind::ALL)
+            .with_dpm(&[false, true]);
+        let mut compared = 0;
+        for seed in 1..=8_u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut baseline_turnaround = 1.0;
+            let rows = expand(&spec)
+                .into_iter()
+                .map(|cell| {
+                    let dpm = if cell.dpm { "+DPM" } else { "" };
+                    let label = format!("{}{dpm}", cell.policy.label());
+                    let mut result = fake_result(&label, cell.experiment);
+                    result.hotspot_pct = edge_value(&mut state, 2, 100);
+                    result.gradient_pct = edge_value(&mut state, 2, 100);
+                    result.cycle_pct = edge_value(&mut state, 2, 100);
+                    // Perf is the group's first (Default) turnaround over
+                    // this row's, so draw the ratio on a rounding edge.
+                    if cell.policy == PolicyKind::Default {
+                        baseline_turnaround = 0.5 + edge_value(&mut state, 2, 10);
+                    }
+                    let ratio = edge_value(&mut state, 3, 2);
+                    result.perf = if ratio > 0.0 {
+                        let turnaround = baseline_turnaround / ratio;
+                        PerformanceStats::from_accumulated(1, turnaround, turnaround)
+                    } else {
+                        PerformanceStats::from_accumulated(0, 0.0, 0.0)
+                    };
+                    SweepRow {
+                        key: crate::cache::cell_key(&spec, &cell).hex(),
+                        result,
+                        cell,
+                        timing: None,
+                    }
+                })
+                .collect();
+            let report = SweepReport { name: spec.name.clone(), rows };
+            let table = table_cells(&report.render());
+            assert_eq!(table.len(), 8, "one group per experiment and DPM setting");
+            assert!(table.iter().all(|group| group.2.len() == PolicyKind::ALL.len()));
+            for dpm in [false, true] {
+                let results: Vec<(Experiment, Vec<RunResult>)> = Experiment::ALL
+                    .iter()
+                    .map(|&exp| {
+                        let runs = report
+                            .rows
+                            .iter()
+                            .filter(|r| r.cell.experiment == exp && r.cell.dpm == dpm);
+                        (exp, runs.map(|r| r.result.clone()).collect())
+                    })
+                    .collect();
+                // Columns 0, 1 and 2: hot spots, gradients and cycles.
+                for column in 0..3 {
+                    let metric =
+                        |r: &RunResult| [r.hotspot_pct, r.gradient_pct, r.cycle_pct][column];
+                    let figure = format_figure("figure", "metric", metric, &results, true);
+                    let mut lines = figure.lines().skip(1);
+                    let header: Vec<&str> =
+                        lines.next().unwrap().split_whitespace().skip(1).collect();
+                    for (row, line) in lines.take(PolicyKind::ALL.len()).enumerate() {
+                        let words: Vec<&str> = line.split_whitespace().collect();
+                        assert_eq!(words[0], PolicyKind::ALL[row].label());
+                        for (name, value) in header.iter().zip(&words[1..]) {
+                            let (exp, column) = match name.strip_prefix("perf:") {
+                                Some(exp) => (exp, 3),
+                                None => (*name, column),
+                            };
+                            let group = table.iter().find(|g| g.0 == exp && g.1 == dpm).unwrap();
+                            assert_eq!(
+                                group.2[row][column], *value,
+                                "seed {seed}, {name}, dpm={dpm}, {}",
+                                words[0]
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // 8 seeds x 2 DPM settings x 3 metrics x 11 policies x (4
+        // metric + 4 perf columns).
+        assert_eq!(compared, 8 * 2 * 3 * 11 * 8);
     }
 }

@@ -93,8 +93,8 @@ pub fn model_fingerprint(spec: &SweepSpec, cell: &SweepCell) -> String {
 }
 
 /// Runs a single cell in isolation, without cache or factor sharing
-/// (the figure binaries' one-off cells). Same result as the cell's row
-/// in a [`run`] of `spec`.
+/// (the CLI's `run`, the scaling tests' one-off cells).
+/// Same result as the cell's row in a [`run`] of `spec`.
 #[must_use]
 pub fn run_cell(spec: &SweepSpec, cell: &SweepCell) -> RunResult {
     run_cell_costed(spec, cell, sim_config(spec, cell), &FactorShare::new()).0
@@ -665,6 +665,11 @@ mod tests {
         // Same cells, same keys, same numbers — the selection only moves
         // work between processes.
         assert_eq!(union, full.rows);
+        // A cell run on its own, with no cache or factor share, gets
+        // the numbers of its row too.
+        for row in &full.rows {
+            assert_eq!(run_cell(&spec, &row.cell), row.result, "cell {}", row.cell.index);
+        }
         // An index past the matrix is an invalid spec, not an empty report.
         let err = run_cells_with_telemetry(&spec, &[1, 4], None, None).unwrap_err();
         assert!(matches!(err, SweepError::InvalidSpec(_)), "{err}");

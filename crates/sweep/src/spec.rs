@@ -7,7 +7,7 @@ use therm3d_policies::PolicyKind;
 use therm3d_thermal::{Integrator, TsvVariant};
 use therm3d_workload::Benchmark;
 
-/// Default simulated seconds per cell (the figure binaries' default).
+/// Default simulated seconds per cell (the paper specs' duration).
 pub const DEFAULT_SIM_SECONDS: f64 = 240.0;
 
 /// Default trace seed (the paper-reproduction seed used everywhere).
@@ -61,7 +61,7 @@ pub struct SweepSpec {
     /// Dynamic power management on/off axis.
     pub dpm: Vec<bool>,
     /// The benchmark rotation; each run replays this mix with equal
-    /// time shares (as the figure binaries do).
+    /// time shares.
     pub benchmarks: Vec<Benchmark>,
     /// Trace-seed axis: one full (experiment × dpm × policy) grid is run
     /// per seed. All policies within one (experiment, seed) cell group
@@ -84,9 +84,10 @@ impl SweepSpec {
     /// trace seed 2009, 240 s per cell on an 8×8 grid.
     ///
     /// The builder itself does *not* consult the environment; callers
-    /// that want `THERM3D_SIM_SECONDS` (the CLI spec loader, the figure
-    /// binaries) apply [`sim_seconds_from_env`] explicitly so a
-    /// malformed value is a reported error, not a silent fallback.
+    /// that want `THERM3D_SIM_SECONDS` (the spec-file loader
+    /// [`from_toml`](crate::from_toml), the ablation binaries) apply
+    /// [`sim_seconds_from_env`] explicitly so a malformed value is a
+    /// reported error, not a silent fallback.
     #[must_use]
     pub fn new(name: &str) -> Self {
         Self {

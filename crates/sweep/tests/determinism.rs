@@ -68,8 +68,12 @@ fn report_groups_follow_policy_order() {
     let report = therm3d_sweep::run(&acceptance_spec(2)).unwrap();
     for &exp in &[Experiment::Exp1, Experiment::Exp2] {
         for &dpm in &[false, true] {
-            let group = report.group(exp, dpm, 0);
-            let labels: Vec<&str> = group.iter().map(|r| r.policy.as_str()).collect();
+            let labels: Vec<&str> = report
+                .rows
+                .iter()
+                .filter(|r| r.cell.experiment == exp && r.cell.dpm == dpm)
+                .map(|r| r.result.policy.as_str())
+                .collect();
             // The engine suffixes "+DPM" onto the policy label when DPM
             // wraps the policy; the order must match the spec's.
             let expected: Vec<String> = ["Default", "CGate", "Adapt3D"]

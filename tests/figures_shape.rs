@@ -3,11 +3,14 @@
 //! at reduced scale (shorter traces, 4×4 grid). These tests pin the
 //! *ordering* so refactors cannot silently break the reproduction; no
 //! record of the paper-scale numbers (8×8, 240 s) exists yet, and
-//! ROADMAP item 2 plans one.
+//! ROADMAP item 2 plans one. The paper-scale runs are the spec files
+//! `examples/paper_fig3.toml` and `examples/paper_fig4_6.toml`; the
+//! last test pins them to the figures' cells.
 
 use therm3d::{RunResult, SimConfig, Simulator};
 use therm3d_floorplan::Experiment;
 use therm3d_policies::PolicyKind;
+use therm3d_sweep::{cell_key, expand, from_toml, sim_seconds_from_env, SweepSpec};
 use therm3d_workload::{stream_mix, Benchmark};
 
 const SECS: f64 = 60.0;
@@ -195,5 +198,41 @@ fn all_eleven_policies_complete_the_figure_workload() {
                 assert!(r.hotspot_pct.is_finite() && (0.0..=100.0).contains(&r.hotspot_pct));
             }
         }
+    }
+}
+
+/// The spec the `fig3`–`fig6` binaries ran for one DPM setting (8×8,
+/// the Table I rotation, trace seed 2009, policy seed 0xACE1), at the
+/// duration a spec file without `sim_seconds` resolves to. Matching
+/// cell keys let caches those binaries wrote serve the spec files.
+fn figure_binary_spec(dpm: bool) -> SweepSpec {
+    SweepSpec::new("figure")
+        .with_experiments(&Experiment::ALL)
+        .with_policies(&PolicyKind::ALL)
+        .with_dpm(&[dpm])
+        .with_benchmarks(&Benchmark::ALL)
+        .with_seeds(&[2009])
+        .with_sim_seconds(sim_seconds_from_env(240.0).unwrap())
+        .with_grid(8, 8)
+        .with_policy_seed(0xACE1)
+        .with_threads(0)
+}
+
+#[test]
+fn paper_specs_expand_to_the_figure_cells() {
+    for (text, dpm) in [
+        (include_str!("../examples/paper_fig3.toml"), false),
+        (include_str!("../examples/paper_fig4_6.toml"), true),
+    ] {
+        let file = from_toml(text).unwrap();
+        let binary = figure_binary_spec(dpm);
+        let (cells, binary_cells) = (expand(&file), expand(&binary));
+        assert_eq!((cells.len(), binary_cells.len()), (44, 44));
+        for (cell, binary_cell) in cells.iter().zip(&binary_cells) {
+            assert_eq!(cell, binary_cell, "dpm={dpm}");
+            assert_eq!(cell_key(&file, cell), cell_key(&binary, cell), "cell {}", cell.index);
+        }
+        // Nothing but the name tells the two specs apart.
+        assert_eq!(SweepSpec { name: binary.name.clone(), ..file }, binary);
     }
 }
